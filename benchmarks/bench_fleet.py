@@ -1,18 +1,11 @@
 """Fleet-scale benchmark: throughput, memory-per-flow, parity gates.
 
 Measures the fleet executor (docs/FLEET.md) at >= 1024 concurrent flows
-and verifies its two structural guarantees:
+and verifies its structural guarantee, **shard parity**: the merged
+report's delivery fingerprint is byte-identical for ``shards=1`` and
+``shards=2``.
 
-* **shard parity** -- the merged report's delivery fingerprint is
-  byte-identical for ``shards=1`` and ``shards=2``;
-* **batch identity** -- a cell run with ``sender_batch_limit=8`` and
-  coalesced reconstruction produces the same per-flow digests and
-  protocol counters as the per-symbol path under the same seed (the
-  send hot path goes through ``split_many`` without changing one wire
-  byte).
-
-``--check BENCH_fleet.json`` gates CI: the parity booleans must hold
-exactly, delivery must stay complete, and memory-per-flow may not grow
+``--check BENCH_fleet.json`` gates CI: shard parity must hold exactly, delivery must stay complete, and memory-per-flow may not grow
 more than 1/CHECK_TOLERANCE over the committed baseline (a ratio, so the
 gate is machine-independent).  Throughput (flows/sec) is recorded as a
 trend only -- absolute speed is machine-dependent.
@@ -30,42 +23,10 @@ import sys
 import time
 import tracemalloc
 
-from repro.fleet import synthesize_fleet
-from repro.fleet.cell import run_cell
 from repro.workloads.fleet import run_fleet
 
 #: Ratio floor for gated metrics (matches bench_micro).
 CHECK_TOLERANCE = 0.8
-
-#: Seed for the direct-cell batch-identity measurement (any value works;
-#: fixed so the measurement is reproducible).
-CELL_SEED = 20160628  # DSN'16 opening day
-
-
-def _cell_params(batch: bool) -> dict:
-    fleet = synthesize_fleet(16, symbols=8)
-    return {
-        "cell": 0,
-        "tenants": [tenant.as_dict() for tenant in fleet.tenants],
-        "flows": [flow.as_dict() for flow in fleet.flows],
-        "channels": 4,
-        "loss": 0.0,
-        "delay": 0.05,
-        "rate": 64.0,
-        "symbol_size": 256,
-        "synthetic": False,
-        "quantum": 1.0,
-        "queue_limit": 64,
-        "sender_batch_limit": 8 if batch else 1,
-        "batch_reconstruct": batch,
-    }
-
-
-def _strip_engine_internals(result: dict) -> dict:
-    """Drop fields batching legitimately changes (event bookkeeping only)."""
-    trimmed = dict(result)
-    trimmed.pop("events", None)
-    return trimmed
 
 
 def run_fleet_bench(flows: int = 1024, quick: bool = False) -> dict:
@@ -91,16 +52,6 @@ def run_fleet_bench(flows: int = 1024, quick: bool = False) -> dict:
     serial = run_fleet(flows=parity_flows, shards=1, spec_id="fleet/parity")
     sharded = run_fleet(flows=parity_flows, shards=2, spec_id="fleet/parity")
 
-    # Batch identity and speed on one real-share cell, same seed both ways.
-    batched_params = _cell_params(batch=True)
-    scalar_params = _cell_params(batch=False)
-    started = time.perf_counter()
-    batched = run_cell(batched_params, CELL_SEED)
-    batched_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    scalar = run_cell(scalar_params, CELL_SEED)
-    scalar_wall = time.perf_counter() - started
-
     return {
         "schema": "bench-fleet/1",
         "flows": flows,
@@ -110,10 +61,6 @@ def run_fleet_bench(flows: int = 1024, quick: bool = False) -> dict:
         "memory_per_flow_kib": peak / flows / 1024.0,
         "peak_mib": peak / 1024.0 / 1024.0,
         "shard_parity": serial.fleet_digest == sharded.fleet_digest,
-        "batch_identical": (
-            _strip_engine_internals(batched) == _strip_engine_internals(scalar)
-        ),
-        "batch_speedup": scalar_wall / batched_wall if batched_wall > 0 else 0.0,
     }
 
 
@@ -122,11 +69,6 @@ def check_against_baseline(results: dict, baseline: dict) -> "list[str]":
     failures = []
     if not results["shard_parity"]:
         failures.append("shard_parity: sharded report diverged from the serial run")
-    if not results["batch_identical"]:
-        failures.append(
-            "batch_identical: the batched send/reconstruct path changed the "
-            "cell's delivery digests or counters"
-        )
     if results["delivered_fraction"] < 1.0:
         failures.append(
             f"delivered_fraction: {results['delivered_fraction']:.4f} < 1.0 "
@@ -165,8 +107,6 @@ def main() -> None:
     )
     print(
         f"shard_parity={results['shard_parity']} "
-        f"batch_identical={results['batch_identical']} "
-        f"batch_speedup={results['batch_speedup']:.2f}x "
         f"delivered_fraction={results['delivered_fraction']:.4f}"
     )
     if args.json:

@@ -11,17 +11,17 @@ model rather than observed empirically).
 
 The subsystem is a small AST-based static-analysis framework:
 
-* :mod:`repro.lint.findings` -- the :class:`Finding` record (file, line,
+* :mod:`repro.analysis.findings` -- the :class:`Finding` record (file, line,
   column, rule id, message) with a stable JSON round-trip.
 * :mod:`repro.lint.rules` -- the :class:`Rule` base class and registry.
-* :mod:`repro.lint.resolve` -- import-alias collection and dotted-name
+* :mod:`repro.analysis.resolve` -- import-alias collection and dotted-name
   resolution (``np.random.seed`` -> ``numpy.random.seed``).
 * :mod:`repro.lint.checks` -- the determinism rule catalogue
   (``wall-clock``, ``unseeded-rng``, ``unordered-iteration``,
   ``env-read``, ``mutable-default``, ``float-eq``).
-* :mod:`repro.lint.suppressions` -- ``# lint: disable=<rule>`` (per
+* :mod:`repro.analysis.suppressions` -- ``# lint: disable=<rule>`` (per
   line) and ``# lint: file-disable=<rule>`` (per file) directives.
-* :mod:`repro.lint.baseline` -- a JSON baseline of grandfathered
+* :mod:`repro.analysis.baseline` -- a JSON baseline of grandfathered
   findings (ships empty; see docs/LINTING.md).
 * :mod:`repro.lint.engine` -- the single-pass visitor that walks the
   tree once per file and dispatches every node to the interested rules.
@@ -34,12 +34,12 @@ byte-identical output.  CI gates on ``repro-model lint`` exiting zero
 (see ``.github/workflows/ci.yml`` and docs/LINTING.md).
 """
 
-from repro.lint.baseline import Baseline
+from repro.analysis.baseline import Baseline
+from repro.analysis.findings import Finding
+from repro.analysis.suppressions import FileSuppressions
 from repro.lint.checks import default_rules
 from repro.lint.engine import LintEngine, LintReport, lint_paths
-from repro.lint.findings import Finding
 from repro.lint.rules import Rule, all_rules, get_rule, register
-from repro.lint.suppressions import FileSuppressions
 
 __all__ = [
     "Baseline",

@@ -305,11 +305,19 @@ class ResilienceManager:
             self._on_nack(message.flow, message.seq, message.have)
 
     def _decode(self, datagram: Datagram):
+        """The control message, or None (counted) if it does not parse or
+        names a channel this pair does not have -- a corrupted or
+        tampered-replayed probe must not index past the channel set."""
         try:
-            return decode_control(datagram.payload or b"")
+            message = decode_control(datagram.payload or b"")
         except WireFormatError:
+            message = None
+        if message is not None and message.kind in (CTRL_PROBE, CTRL_PROBE_ACK):
+            if message.channel >= len(self.guards):
+                message = None
+        if message is None:
             self.stats.control_decode_errors += 1
-            return None
+        return message
 
     def _on_probe_ack(self, channel: int) -> None:
         guard = self.guards[channel]

@@ -127,6 +127,19 @@ class TestRepairReTagging:
         assert row["delivered"] == row["transmitted"]
 
 
+class TestTamperedControlReplay:
+    def test_replayed_probes_with_bad_channel_are_counted_not_raised(self):
+        # Tampered replays of control packets can name a channel index
+        # past the channel set; resilience must drop them as decode
+        # errors instead of indexing with them.
+        row = run_under_attack(
+            canonical_attack("replay_flood", 2.0, 8.0),
+            duration=10.0, seed=0, auth=True, resilience=True,
+        )
+        assert row["wrong_payloads"] == 0
+        assert row["resilience"]["control_decode_errors"] > 0
+
+
 class TestDeterminism:
     def test_same_seed_auth_replay_is_byte_identical(self):
         first = run("corruption_storm", auth=True, seed=11)

@@ -1,12 +1,19 @@
 """The reassembly buffer: completion, eviction, late shares, memory bound."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core.channel import Channel, ChannelSet
 from repro.netsim.engine import Engine
 from repro.netsim.host import CpuModel
 from repro.netsim.packet import Datagram
-from repro.protocol.receiver import ReassemblyBuffer
+from repro.netsim.rng import RngRegistry
+from repro.protocol.config import ProtocolConfig
+from repro.protocol.receiver import ReassemblyBuffer, ReceiverStats
+from repro.protocol.remicss import PointToPointNetwork
+from repro.protocol.sender import SenderStats
 from repro.protocol.wire import encode_share
 from repro.sharing.shamir import ShamirScheme
 
@@ -236,3 +243,161 @@ class TestCpuIntegration:
         for seq in range(10):
             buf.handle_datagram(share_datagrams(seq, b"x", 1, 1, seed=seq)[0])
         assert buf.stats.cpu_rejected_shares > 0
+
+
+def build_session():
+    """A seeded A -> B pair over three slow lossless channels; returns
+    (registry, config, network, node_a, node_b) before any traffic."""
+    channels = ChannelSet(
+        Channel(risk=0.1, loss=0.0, delay=0.02, rate=4.0) for _ in range(3)
+    )
+    registry = RngRegistry(5)
+    config = ProtocolConfig(kappa=2.0, mu=2.0, symbol_size=64)
+    network = PointToPointNetwork(
+        channels, config.symbol_size, registry, queue_limit=2
+    )
+    node_a, node_b = network.node_pair(config, registry)
+    return registry, config, network, node_a, node_b
+
+
+def send_and_run(registry, config, network, node_a, node_b, symbols):
+    payload_rng = registry.stream("test.payload")
+    for _ in range(symbols):
+        assert node_a.send(payload_rng.bytes(config.symbol_size))
+    network.engine.run()
+    assert node_b.receiver.stats.symbols_delivered == symbols
+
+
+def run_stats(symbols):
+    """One seeded A -> B run of real payloads; returns the sender and
+    receiver stat dicts."""
+    registry, config, network, node_a, node_b = build_session()
+    send_and_run(registry, config, network, node_a, node_b, symbols)
+    return node_a.sender.stats.as_dict(), node_b.receiver.stats.as_dict()
+
+
+class TestStatsJsonShape:
+    """Single-flow callers see the exact historical JSON: no ``flows``
+    key appears until a nonzero flow actually carries traffic."""
+
+    HISTORICAL_SENDER_KEYS = {
+        "symbols_offered", "symbols_sent", "source_drops", "shares_sent",
+        "share_send_failures", "readiness_stalls", "admission_paused_drops",
+        "auth_tagged_shares",
+    }
+
+    def test_sender_stats_flow0_shape_unchanged(self):
+        stats = SenderStats()
+        stats.count(0, "symbols_offered")
+        stats.count(0, "symbols_sent")
+        data = stats.as_dict()
+        assert "flows" not in data
+        assert set(data) == self.HISTORICAL_SENDER_KEYS
+
+    def test_receiver_stats_flow0_shape_unchanged(self):
+        stats = ReceiverStats()
+        stats.count(0, "shares_received")
+        stats.count(0, "symbols_delivered")
+        data = stats.as_dict()
+        assert "flows" not in data
+
+    def test_flows_block_appears_only_with_nonzero_flows(self):
+        stats = SenderStats()
+        stats.count(0, "symbols_offered")
+        stats.count(3, "symbols_offered")
+        data = stats.as_dict()
+        assert data["symbols_offered"] == 2  # totals span all flows
+        assert set(data["flows"]) == {"3"}
+        assert data["flows"]["3"]["symbols_offered"] == 1
+
+    def test_single_flow_simulation_keeps_historical_shape(self):
+        """End to end: a flow-0-only run serialises with no flows block in
+        either direction, so existing reports and baselines are stable."""
+        sender_dict, receiver_dict = run_stats(symbols=4)
+        assert "flows" not in sender_dict
+        assert "flows" not in receiver_dict
+
+
+class TestSingleSharingPath:
+    """The protocol shares one symbol per split at transmit time and
+    reconstructs one symbol per call as its k-th share arrives; the
+    batch APIs of the scheme stay off the protocol path."""
+
+    SYMBOLS = 12
+
+    @staticmethod
+    def forbid_batch_apis(scheme):
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch sharing API reached the protocol path")
+
+        scheme.split_many = refuse
+        scheme.reconstruct_many = refuse
+
+    def test_sender_splits_each_symbol_once_at_transmit(self):
+        registry, config, network, node_a, node_b = build_session()
+        scheme = config.scheme
+        self.forbid_batch_apis(scheme)
+        splits = []
+        inner_split = scheme.split
+
+        def recording_split(secret, k, m, rng):
+            replay_rng = copy.deepcopy(rng)
+            shares = inner_split(secret, k, m, rng)
+            splits.append((secret, k, m, replay_rng, shares))
+            return shares
+
+        scheme.split = recording_split
+        transmitted = []
+        node_a.sender.on_transmit = (
+            lambda flow, seq, k, m, offered_at, shares: transmitted.append(shares)
+        )
+        send_and_run(registry, config, network, node_a, node_b, self.SYMBOLS)
+        assert len(splits) == self.SYMBOLS
+        assert node_a.sender.stats.symbols_sent == self.SYMBOLS
+        assert transmitted == [shares for *_, shares in splits]
+
+    def test_sender_shares_match_split_many_of_one(self):
+        """Each transmitted share set is bit-identical to
+        ``split_many([payload])`` drawn from the same rng state, so the
+        single path reproduces what the batch API would have sent."""
+        registry, config, network, node_a, node_b = build_session()
+        scheme = config.scheme
+        splits = []
+        inner_split = scheme.split
+
+        def recording_split(secret, k, m, rng):
+            replay_rng = copy.deepcopy(rng)
+            shares = inner_split(secret, k, m, rng)
+            splits.append((secret, k, m, replay_rng, shares))
+            return shares
+
+        scheme.split = recording_split
+        send_and_run(registry, config, network, node_a, node_b, self.SYMBOLS)
+        del scheme.split
+        assert len(splits) == self.SYMBOLS
+        for secret, k, m, replay_rng, shares in splits:
+            assert scheme.split_many([secret], k, m, replay_rng) == [shares]
+
+    def test_receiver_reconstructs_each_symbol_at_k_shares(self):
+        registry, config, network, node_a, node_b = build_session()
+        scheme = config.scheme
+        self.forbid_batch_apis(scheme)
+        group_sizes = []
+        inner_reconstruct = scheme.reconstruct
+
+        def counting_reconstruct(shares):
+            group_sizes.append(len(shares))
+            return inner_reconstruct(shares)
+
+        scheme.reconstruct = counting_reconstruct
+        send_and_run(registry, config, network, node_a, node_b, self.SYMBOLS)
+        # κ = µ = 2: every symbol is (2, 2), reconstructed once from 2 shares.
+        assert group_sizes == [2] * self.SYMBOLS
+        assert node_b.receiver.stats.reconstruction_errors == 0
+
+
+class TestRemovedBatchKnobs:
+    @pytest.mark.parametrize("knob", ["sender_batch_limit", "batch_reconstruct"])
+    def test_protocol_config_rejects_removed_knob(self, knob):
+        with pytest.raises(TypeError):
+            ProtocolConfig(kappa=2.0, mu=2.0, symbol_size=64, **{knob: 1})

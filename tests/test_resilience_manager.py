@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.planner import Requirements, plan_max_rate
 from repro.netsim.faults import FaultEvent, FaultPlan
+from repro.netsim.packet import Datagram
 from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
@@ -13,6 +14,12 @@ from repro.protocol.resilience import (
     ResilienceManager,
 )
 from repro.protocol.resilience.failover import schedule_min_threshold
+from repro.protocol.wire import (
+    CTRL_PROBE,
+    CTRL_PROBE_ACK,
+    encode_probe,
+    encode_probe_ack,
+)
 from repro.workloads.setups import diverse_setup
 from repro.workloads.setups import testbed_fault_plan as fault_plan_for
 
@@ -224,3 +231,27 @@ class TestNoFaults:
         assert manager.failover.records == []
         assert all(g.state is ChannelState.HEALTHY for g in manager.guards)
         assert node_a.sampler is manager.failover.base_sampler
+
+
+class TestControlChannelBounds:
+    """A probe or probe-ack naming a channel the pair does not have (a
+    corrupted or tampered-replayed control packet) is dropped and counted
+    as a control decode error, never used as an index."""
+
+    @pytest.mark.parametrize(
+        "kind, encode, inbound",
+        [
+            (CTRL_PROBE, encode_probe, "_recv_at_receiver"),
+            (CTRL_PROBE_ACK, encode_probe_ack, "_recv_at_sender"),
+        ],
+    )
+    def test_out_of_range_channel_is_a_decode_error(self, kind, encode, inbound):
+        _, _, _, manager = build(end=1.0)
+        payload = encode(len(manager.guards), 0)
+        datagram = Datagram(
+            size=len(payload), payload=payload, meta={"ctrl": kind, "channel": 0}
+        )
+        getattr(manager, inbound)(datagram)
+        assert manager.stats.control_decode_errors == 1
+        assert manager.stats.probe_acks_sent == 0
+        assert manager.stats.probe_acks_received == 0
