@@ -17,6 +17,8 @@ joined by five dedicated, shaped 10 GbE links).  It provides:
   ReMICSS's dynamic share schedule;
 * :mod:`repro.netsim.rng` -- named, reproducible random streams;
 * :mod:`repro.netsim.trace` -- counters and summary statistics;
+* :mod:`repro.netsim.timeline` -- the timed-event, timeline and injector
+  bases shared by fault plans and the active adversary's attack plans;
 * :mod:`repro.netsim.faults` -- declarative, deterministic fault injection
   (outages, flaps, burst loss, parameter overrides, partitions) driven by
   the event engine.

@@ -9,6 +9,7 @@ every simulation run exactly reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 
@@ -99,27 +100,24 @@ class Engine:
         """
         if end_time < self._now:
             raise ValueError(f"cannot run backwards to {end_time} from {self._now}")
-        while self._queue and self._queue[0].time <= end_time:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._processed += 1
-            if self._dispatch_hook is not None:
-                self._dispatch_hook(event, len(self._queue))
-            event.callback(*event.args)
+        self._dispatch(end_time)
         self._now = end_time
 
     def run(self) -> None:
-        """Run until the event queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        """Run until the event queue is empty (now stays at the last event)."""
+        self._dispatch(math.inf)
+
+    def _dispatch(self, end_time: float) -> None:
+        """Run queued events with ``time <= end_time`` in ``(time, seq)`` order."""
+        queue = self._queue
+        while queue and queue[0].time <= end_time:
+            event = heapq.heappop(queue)
             if event.cancelled:
                 continue
             self._now = event.time
             self._processed += 1
             if self._dispatch_hook is not None:
-                self._dispatch_hook(event, len(self._queue))
+                self._dispatch_hook(event, len(queue))
             event.callback(*event.args)
 
     def pending(self) -> int:

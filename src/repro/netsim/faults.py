@@ -17,6 +17,10 @@ This module injects such behaviour as data, not code:
   applied event in :attr:`FaultInjector.log` so reports can attribute
   degradation to injected faults.
 
+All three subclass the shared bases of :mod:`repro.netsim.timeline`
+(validation, the JSON spec, arm-once scheduling, the applied-event log),
+which the active adversary's attack timeline builds on too.
+
 Determinism: event timing comes solely from the engine (ties break on
 scheduling order) and every random draw -- including the Gilbert-Elliott
 state walks -- flows through the affected link's own named rng stream, so
@@ -25,31 +29,13 @@ two runs with the same root seed produce byte-identical traces.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.netsim.engine import Engine
-from repro.netsim.link import DuplexChannel, Link, LossModel
-
-#: Every recognised fault action.
-ACTIONS = (
-    "link_down",
-    "link_up",
-    "set_loss",
-    "set_delay",
-    "set_jitter",
-    "set_rate",
-    "burst_start",
-    "burst_stop",
-    "partition",
-    "heal",
-)
-
-#: Which direction(s) of a duplex channel an event touches.
-DIRECTIONS = ("fwd", "rev", "both")
+from repro.netsim.link import LossModel
+from repro.netsim.timeline import DIRECTIONS as DIRECTIONS  # re-exported
+from repro.netsim.timeline import TimedEvent, Timeline, TimelineInjector
 
 #: Required / allowed parameter keys per action.
 _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
@@ -64,6 +50,9 @@ _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
     "partition": (),
     "heal": (),
 }
+
+#: Every recognised fault action.
+ACTIONS = tuple(_PARAM_KEYS)
 
 
 class GilbertElliott(LossModel):
@@ -109,8 +98,7 @@ class GilbertElliott(LossModel):
         return lost
 
 
-@dataclass
-class FaultEvent:
+class FaultEvent(TimedEvent):
     """One timed fault: an action applied to one channel (or all of them).
 
     Attributes:
@@ -124,42 +112,22 @@ class FaultEvent:
             relative ``set_rate``.
     """
 
-    time: float
-    action: str
-    channel: Optional[int] = None
-    direction: str = "both"
-    params: Dict[str, float] = field(default_factory=dict)
+    kind = "fault"
+    param_keys = _PARAM_KEYS
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"fault time must be nonnegative, got {self.time}")
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown fault action {self.action!r}; expected one of {ACTIONS}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}; expected one of {DIRECTIONS}")
-        if self.channel is not None and self.channel < 0:
-            raise ValueError(f"channel index must be nonnegative, got {self.channel}")
-        allowed = _PARAM_KEYS[self.action]
-        unknown = set(self.params) - set(allowed)
-        if unknown:
-            raise ValueError(
-                f"{self.action} does not take parameters {sorted(unknown)}; allowed: {list(allowed)}"
-            )
+    def _check_params(self) -> None:
         if self.action == "set_loss":
-            if "loss" not in self.params:
-                raise ValueError("set_loss needs a 'loss' parameter")
-            if not 0.0 <= self.params["loss"] < 1.0:
-                raise ValueError(f"loss must be in [0, 1), got {self.params['loss']}")
+            loss = self._param("loss")
+            if not 0.0 <= loss < 1.0:
+                raise ValueError(f"loss must be in [0, 1), got {loss}")
         if self.action == "set_delay":
-            if "delay" not in self.params:
-                raise ValueError("set_delay needs a 'delay' parameter")
-            if self.params["delay"] < 0:
-                raise ValueError(f"delay must be nonnegative, got {self.params['delay']}")
+            delay = self._param("delay")
+            if delay < 0:
+                raise ValueError(f"delay must be nonnegative, got {delay}")
         if self.action == "set_jitter":
-            if "jitter" not in self.params:
-                raise ValueError("set_jitter needs a 'jitter' parameter")
-            if self.params["jitter"] < 0:
-                raise ValueError(f"jitter must be nonnegative, got {self.params['jitter']}")
+            jitter = self._param("jitter")
+            if jitter < 0:
+                raise ValueError(f"jitter must be nonnegative, got {jitter}")
         if self.action == "set_rate":
             if not (("byte_rate" in self.params) ^ ("scale" in self.params)):
                 raise ValueError("set_rate needs exactly one of 'byte_rate' or 'scale'")
@@ -167,29 +135,16 @@ class FaultEvent:
             if value <= 0:
                 raise ValueError(f"set_rate value must be positive, got {value}")
         if self.action == "burst_start":
-            for key in ("p_bad", "p_good"):
-                if key not in self.params:
-                    raise ValueError(f"burst_start needs a {key!r} parameter")
             # Constructing the process validates every probability eagerly.
             GilbertElliott(
-                self.params["p_bad"],
-                self.params["p_good"],
+                self._param("p_bad"),
+                self._param("p_good"),
                 self.params.get("loss_good", 0.0),
                 self.params.get("loss_bad", 1.0),
             )
 
-    def to_spec(self) -> dict:
-        """The JSON-friendly dict form (inverse of :meth:`FaultPlan.from_spec`)."""
-        spec: dict = {"time": self.time, "action": self.action}
-        if self.channel is not None:
-            spec["channel"] = self.channel
-        if self.direction != "both":
-            spec["direction"] = self.direction
-        spec.update(self.params)
-        return spec
 
-
-class FaultPlan:
+class FaultPlan(Timeline):
     """A seeded-run fault timeline: an ordered collection of fault events.
 
     Build fluently (every builder returns ``self``)::
@@ -207,15 +162,9 @@ class FaultPlan:
     a :class:`FaultInjector` arms it on an engine.
     """
 
-    def __init__(self, events: Optional[Sequence[FaultEvent]] = None):
-        self.events: List[FaultEvent] = list(events or [])
+    event_type = FaultEvent
 
     # -- construction ----------------------------------------------------------
-
-    def add(self, event: FaultEvent) -> "FaultPlan":
-        """Append one event (kept in insertion order; sorted when armed)."""
-        self.events.append(event)
-        return self
 
     def link_down(self, time: float, channel: Optional[int] = None, direction: str = "both") -> "FaultPlan":
         """Take a channel (or all channels) down at ``time``."""
@@ -306,52 +255,8 @@ class FaultPlan:
             t += period
         return self
 
-    # -- spec (de)serialisation -------------------------------------------------
 
-    @classmethod
-    def from_spec(cls, spec: Sequence[dict]) -> "FaultPlan":
-        """Build a plan from a list of dicts (``time``/``action``/``channel``/
-        ``direction`` keys; every other key becomes an action parameter)."""
-        events = []
-        for entry in spec:
-            entry = dict(entry)
-            time = entry.pop("time")
-            action = entry.pop("action")
-            channel = entry.pop("channel", None)
-            direction = entry.pop("direction", "both")
-            events.append(FaultEvent(time, action, channel, direction, entry))
-        return cls(events)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse the JSON form of :meth:`to_spec`."""
-        return cls.from_spec(json.loads(text))
-
-    def to_spec(self) -> List[dict]:
-        """The JSON-friendly list-of-dicts form."""
-        return [event.to_spec() for event in self.events]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_spec(), indent=2)
-
-    # -- introspection ----------------------------------------------------------
-
-    def sorted_events(self) -> List[FaultEvent]:
-        """Events in firing order (stable: ties keep insertion order)."""
-        return sorted(self.events, key=lambda e: e.time)
-
-    def end_time(self) -> float:
-        """Time of the last event (0.0 for an empty plan)."""
-        return max((e.time for e in self.events), default=0.0)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
-
-class FaultInjector:
+class FaultInjector(TimelineInjector):
     """Applies a :class:`FaultPlan` to a set of duplex channels.
 
     Args:
@@ -361,64 +266,15 @@ class FaultInjector:
 
     Call :meth:`arm` once, before running the engine past the plan's first
     event.  Every applied event is appended to :attr:`log` as an
-    ``(applied_at, event)`` pair, giving reports a causal trace from
-    injected fault to observed degradation.
+    ``(applied_at, event)`` pair and, with a tracer attached, emitted as a
+    ``fault_applied`` trace, so reports can attribute degradation to
+    injected faults.
     """
 
-    def __init__(self, engine: Engine, channels: Sequence[DuplexChannel], plan: FaultPlan):
-        self.engine = engine
-        self.duplex = list(channels)
-        self.plan = plan
-        self.log: List[Tuple[float, FaultEvent]] = []
-        #: Structured tracer attached by :mod:`repro.obs.instrument`; when
-        #: set, every applied event also emits a ``fault_applied`` trace.
-        self.tracer = None
-        self._armed = False
-        for event in plan:
-            if event.channel is not None and event.channel >= len(self.duplex):
-                raise ValueError(
-                    f"fault event targets channel {event.channel} but only "
-                    f"{len(self.duplex)} channels exist"
-                )
-
-    def arm(self) -> "FaultInjector":
-        """Schedule every plan event on the engine (once)."""
-        if self._armed:
-            raise RuntimeError("fault plan already armed")
-        self._armed = True
-        for event in self.plan.sorted_events():
-            self.engine.schedule_at(max(event.time, self.engine.now), self._apply, event)
-        return self
-
-    # -- application ------------------------------------------------------------
-
-    def _links(self, event: FaultEvent) -> List[Link]:
-        """The links an event touches, in (channel, fwd-before-rev) order."""
-        if event.channel is None:
-            targets = list(range(len(self.duplex)))
-        else:
-            targets = [event.channel]
-        direction = "both" if event.action in ("partition", "heal") else event.direction
-        links: List[Link] = []
-        for index in targets:
-            duplex = self.duplex[index]
-            if direction in ("fwd", "both"):
-                links.append(duplex.forward)
-            if direction in ("rev", "both"):
-                links.append(duplex.reverse)
-        return links
-
     def _apply(self, event: FaultEvent) -> None:
-        self.log.append((self.engine.now, event))
-        if self.tracer is not None:
-            self.tracer.event(
-                "fault_applied",
-                action=event.action,
-                channel=event.channel,
-                direction=event.direction,
-            )
         params = event.params
-        for link in self._links(event):
+        direction = "both" if event.action in ("partition", "heal") else event.direction
+        for _, _, link in self.targets(event.channel, direction):
             if event.action in ("link_down", "partition"):
                 link.link_down()
             elif event.action in ("link_up", "heal"):
@@ -445,20 +301,6 @@ class FaultInjector:
                 )
             elif event.action == "burst_stop":
                 link.set_loss_model(None)
-
-    # -- reporting --------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Applied-event counts per action, plus first/last firing times."""
-        counts: Dict[str, int] = {}
-        for _, event in self.log:
-            counts[event.action] = counts.get(event.action, 0) + 1
-        return {
-            "applied": len(self.log),
-            "by_action": counts,
-            "first_at": self.log[0][0] if self.log else None,
-            "last_at": self.log[-1][0] if self.log else None,
-        }
 
 
 # -- canonical scenarios ---------------------------------------------------------

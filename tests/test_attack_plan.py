@@ -102,11 +102,9 @@ class TestBuilders:
         )
         assert all(event.channel is None for event in plan)
 
-    def test_end_time_and_has_action(self):
+    def test_end_time(self):
         plan = AttackPlan().jam(3.0, channel=1).unjam(7.0, channel=1)
         assert plan.end_time() == 7.0
-        assert plan.has_action("jam")
-        assert not plan.has_action("forge_start", "replay_start")
         assert AttackPlan().end_time() == 0.0
 
 

@@ -43,6 +43,26 @@ class TestScheduling:
         engine.run_until(20.0)
         assert fired == ["early", "late"]
 
+    def test_run_leaves_clock_at_last_event(self):
+        engine = Engine()
+        engine.schedule(2.0, lambda: None)
+        engine.schedule(3.0, lambda: None).cancel()
+        engine.run()
+        assert engine.now == 2.0
+
+    def test_run_and_run_until_dispatch_identically(self):
+        def dispatched(drive):
+            engine = Engine()
+            seen = []
+            engine.set_dispatch_hook(lambda event, depth: seen.append((event.time, depth)))
+            for delay in (3.0, 1.0, 1.0, 2.0):
+                engine.schedule(delay, lambda: None)
+            engine.schedule(1.5, lambda: None).cancel()
+            drive(engine)
+            return seen, engine.events_processed
+
+        assert dispatched(Engine.run) == dispatched(lambda e: e.run_until(10.0))
+
     def test_callbacks_can_schedule_more(self):
         engine = Engine()
         hits = []
