@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from repro.core.channel import Channel, ChannelSet
 from repro.netsim.rng import RngRegistry
+from repro.netsim.trace import check_offer_window
 from repro.protocol.auth import AuthConfig, derive_root_key
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
@@ -106,6 +107,7 @@ def run_under_attack(
         A flat JSON-safe dict; see the property suite
         (tests/test_attack_properties.py) for the invariants it carries.
     """
+    check_offer_window(offered_rate, duration, warmup)
     if channels is None:
         channels = default_channels()
     registry = RngRegistry(seed)

@@ -8,8 +8,9 @@ Two complementary verification layers live here:
   prime fields and computing entropies and mutual information in
   closed form.
 * :mod:`repro.analysis.framework` is the static-analysis substrate
-  (discovery, reports, suppressions, baselines) shared by the
-  determinism linter (``repro.lint``) and the secret-taint analysis
+  (discovery, the per-file front end, reports, suppressions, baselines
+  and the command line) shared by the determinism linter
+  (:mod:`repro.analysis.lint`) and the secret-taint analysis
   (:mod:`repro.analysis.taint`), which proves the *implementation*
   honours that secrecy by tracking where raw secret bytes flow.
 """

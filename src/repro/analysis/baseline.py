@@ -39,9 +39,13 @@ class Baseline:
 
     @classmethod
     def load(cls, path: str) -> "Baseline":
-        """Read a baseline file; raises ``ValueError`` on a bad schema."""
+        """Read a baseline file; raises ``ValueError`` naming ``path`` on
+        malformed JSON or a bad schema."""
         with open(path) as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"baseline {path!r}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict) or data.get("version") != _VERSION:
             raise ValueError(
                 f"baseline {path!r}: expected an object with version={_VERSION}"
@@ -54,7 +58,7 @@ class Baseline:
             try:
                 key = (str(entry["file"]), str(entry["rule"]), str(entry["message"]))
                 count = int(entry.get("count", 1))
-            except (TypeError, KeyError) as exc:
+            except (TypeError, KeyError, ValueError) as exc:
                 raise ValueError(f"baseline {path!r}: malformed entry {entry!r}") from exc
             if count < 1:
                 raise ValueError(f"baseline {path!r}: count must be >= 1 in {entry!r}")

@@ -13,19 +13,23 @@ The subsystem is a small AST-based static-analysis framework:
 
 * :mod:`repro.analysis.findings` -- the :class:`Finding` record (file, line,
   column, rule id, message) with a stable JSON round-trip.
-* :mod:`repro.lint.rules` -- the :class:`Rule` base class and registry.
+* :mod:`repro.analysis.lint.rules` -- the :class:`Rule` base class.
 * :mod:`repro.analysis.resolve` -- import-alias collection and dotted-name
   resolution (``np.random.seed`` -> ``numpy.random.seed``).
-* :mod:`repro.lint.checks` -- the determinism rule catalogue
-  (``wall-clock``, ``unseeded-rng``, ``unordered-iteration``,
-  ``env-read``, ``mutable-default``, ``float-eq``).
+* :mod:`repro.analysis.lint.checks` -- the rule registry and the
+  determinism rule catalogue (``wall-clock``, ``unseeded-rng``,
+  ``unordered-iteration``, ``env-read``, ``mutable-default``,
+  ``float-eq``).
 * :mod:`repro.analysis.suppressions` -- ``# lint: disable=<rule>`` (per
   line) and ``# lint: file-disable=<rule>`` (per file) directives.
 * :mod:`repro.analysis.baseline` -- a JSON baseline of grandfathered
   findings (ships empty; see docs/LINTING.md).
-* :mod:`repro.lint.engine` -- the single-pass visitor that walks the
-  tree once per file and dispatches every node to the interested rules.
-* :mod:`repro.lint.cli` -- the ``repro-model lint`` entry point.
+* :mod:`repro.analysis.lint.engine` -- the single-pass visitor that
+  walks the tree once per file and dispatches every node to the
+  interested rules.
+* :mod:`repro.analysis.framework` -- the per-file front end, the run
+  finish and the command line, shared with the taint analysis.
+* :mod:`repro.analysis.lint.cli` -- the ``repro-model lint`` defaults.
 
 The linter is itself deterministic: files are discovered in sorted
 order, nodes are visited in AST order and findings are reported sorted
@@ -34,23 +38,15 @@ byte-identical output.  CI gates on ``repro-model lint`` exiting zero
 (see ``.github/workflows/ci.yml`` and docs/LINTING.md).
 """
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.findings import Finding
-from repro.analysis.suppressions import FileSuppressions
-from repro.lint.checks import default_rules
-from repro.lint.engine import LintEngine, LintReport, lint_paths
-from repro.lint.rules import Rule, all_rules, get_rule, register
+from repro.analysis.lint.checks import default_rules, register
+from repro.analysis.lint.engine import LintEngine, LintReport, lint_paths
+from repro.analysis.lint.rules import Rule
 
 __all__ = [
-    "Baseline",
-    "FileSuppressions",
-    "Finding",
     "LintEngine",
     "LintReport",
     "Rule",
-    "all_rules",
     "default_rules",
-    "get_rule",
     "lint_paths",
     "register",
 ]

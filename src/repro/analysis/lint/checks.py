@@ -20,12 +20,30 @@ See docs/LINTING.md for the catalogue with rationale and examples.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List
+from typing import Dict, Iterator, List, Type
 
 from repro.analysis.findings import Finding
-from repro.lint.rules import FileContext, Rule, all_rules, register
+from repro.analysis.lint.rules import FileContext, Rule
 
-__all__ = ["default_rules"]
+__all__ = ["default_rules", "register"]
+
+#: The global rule registry, in registration order.
+_REGISTRY: Dict[str, Type[Rule]] = {}
+
+
+def register(rule_cls: Type[Rule]) -> Type[Rule]:
+    """Class decorator adding a rule to the registry (id must be unique)."""
+    if not rule_cls.rule_id:
+        raise ValueError(f"{rule_cls.__name__} has no rule_id")
+    if rule_cls.rule_id in _REGISTRY:
+        raise ValueError(f"duplicate rule id {rule_cls.rule_id!r}")
+    _REGISTRY[rule_cls.rule_id] = rule_cls
+    return rule_cls
+
+
+def default_rules() -> List[Rule]:
+    """Fresh default-scoped instances of every registered rule."""
+    return [cls() for cls in _REGISTRY.values()]
 
 
 #: Wall-clock entry points.  ``time.time`` and friends return a value
@@ -331,7 +349,3 @@ class FloatEqRule(Rule):
                     )
                     break
 
-
-def default_rules() -> "list[Rule]":
-    """Fresh default-scoped instances of the full catalogue."""
-    return all_rules()

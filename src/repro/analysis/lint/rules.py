@@ -1,4 +1,4 @@
-"""The :class:`Rule` base class, the registry, and the file context.
+"""The :class:`Rule` base class and the file context.
 
 A rule is a small stateless object: it declares which ``ast`` node
 types it wants (``node_types``), which part of the tree it polices
@@ -7,21 +7,22 @@ a ``visit`` hook that yields :class:`~repro.analysis.findings.Finding`
 records.  The engine parses each file once and dispatches every node to
 every interested rule, so adding a rule never adds a parse or a walk.
 
-Scoping policy lives on the rule classes in :mod:`repro.lint.checks`
-(this is a repo-specific linter; the scope *is* the policy), but every
+Scoping policy and the registry live with the rule classes in
+:mod:`repro.analysis.lint.checks` (this is a repo-specific linter; the
+scope *is* the policy), but every
 attribute can be overridden per instance for tests and one-off runs.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Sequence, Tuple, Type
+from typing import Dict, Iterator, Sequence, Tuple, Type
 
 from repro.analysis.findings import Finding
 from repro.analysis.resolve import qualified_name
 from repro.analysis.suppressions import FileSuppressions
 
-__all__ = ["FileContext", "Rule", "all_rules", "get_rule", "register"]
+__all__ = ["FileContext", "Rule"]
 
 
 class FileContext:
@@ -117,26 +118,3 @@ def _under(relpath: str, prefix: str) -> bool:
     """True if ``relpath`` is ``prefix`` itself or inside that directory."""
     return relpath == prefix or relpath.startswith(prefix.rstrip("/") + "/")
 
-
-#: The global rule registry, in registration order.
-_REGISTRY: Dict[str, Type[Rule]] = {}
-
-
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the registry (id must be unique)."""
-    if not rule_cls.rule_id:
-        raise ValueError(f"{rule_cls.__name__} has no rule_id")
-    if rule_cls.rule_id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_cls.rule_id!r}")
-    _REGISTRY[rule_cls.rule_id] = rule_cls
-    return rule_cls
-
-
-def all_rules() -> List[Rule]:
-    """Fresh instances of every registered rule, default scoping."""
-    return [cls() for cls in _REGISTRY.values()]
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    """The registered rule class for ``rule_id`` (KeyError if unknown)."""
-    return _REGISTRY[rule_id]

@@ -1,6 +1,6 @@
 """Command-line front end for the secret-taint analysis.
 
-Reached three ways, all sharing this module:
+Reached three ways, all sharing :class:`repro.analysis.framework.AnalysisCli`:
 
 * ``repro-model taint ...`` (the installed console script),
 * ``python -m repro.cli taint ...``,
@@ -13,71 +13,13 @@ remain, 2 on usage errors -- CI gates on the exit code alone.
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
 from typing import Optional, Sequence
 
-from repro.analysis.framework import Baseline, print_report
+from repro.analysis.framework import AnalysisCli
 from repro.analysis.taint.engine import TaintEngine
 from repro.analysis.taint.policy import default_policy
 
-__all__ = ["add_taint_arguments", "main", "run_taint"]
-
-#: Default analysis target, relative to the root.  Unlike the linter,
-#: the default scope is the shipped package only: tests and benchmarks
-#: legitimately print and persist secret-adjacent fixtures.
-DEFAULT_PATHS = ("src",)
-
-#: Default baseline location, relative to the root.
-DEFAULT_BASELINE = "taint-baseline.json"
-
-
-def add_taint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the taint options to ``parser`` (shared with repro.cli)."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help=f"files/directories to analyze (default: {' '.join(DEFAULT_PATHS)})",
-    )
-    parser.add_argument(
-        "--root",
-        default=".",
-        help="repository root paths are resolved against (default: cwd)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (text: file:line:col lines; json: stable schema)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=f"baseline file of grandfathered findings (default: "
-        f"{DEFAULT_BASELINE} next to --root when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--list-sinks",
-        action="store_true",
-        help="print the source/sink/sanitizer catalogue and exit",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="also emit the taint rule-hit counters through repro.obs to "
-        "this path (format inferred from the suffix; see docs/OBSERVABILITY.md)",
-    )
+__all__ = ["TAINT", "main"]
 
 
 def _print_catalogue() -> None:
@@ -102,62 +44,21 @@ def _print_catalogue() -> None:
         print(f"  {names}")
 
 
-def run_taint(args: argparse.Namespace) -> int:
-    """Execute a parsed taint invocation; returns the process exit code."""
-    if args.list_sinks:
-        _print_catalogue()
-        return 0
-
-    root = os.path.abspath(args.root)
-    paths = list(args.paths)
-    if not paths:
-        paths = [p for p in DEFAULT_PATHS if os.path.exists(os.path.join(root, p))]
-        if not paths:
-            print(f"error: no default taint paths exist under {root}", file=sys.stderr)
-            return 2
-
-    baseline_path = args.baseline or os.path.join(root, DEFAULT_BASELINE)
-    baseline: Optional[Baseline] = None
-    if not args.no_baseline and not args.update_baseline and os.path.exists(baseline_path):
-        baseline = Baseline.load(baseline_path)
-
-    obs = None
-    if args.metrics_out:
-        from repro.obs import Observability
-
-        obs = Observability.create()
-
-    engine = TaintEngine(baseline=baseline, obs=obs)
-    try:
-        report = engine.run(root, paths)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        Baseline.from_findings(report.findings).write(baseline_path)
-        print(f"baseline: {len(report.findings)} finding(s) -> {baseline_path}")
-        return 0
-
-    print_report(report, args.format)
-
-    if obs is not None:
-        from repro.obs import write_metrics
-
-        write_metrics(args.metrics_out, obs.registry.snapshot())
-
-    return 0 if report.ok else 1
+TAINT = AnalysisCli(
+    engine=TaintEngine,
+    description="secret-flow (source/sink/sanitizer) static analysis "
+    "for the repro tree (see docs/TAINT.md)",
+    verb="analyze",
+    # Unlike the linter, the default scope is the shipped package only:
+    # tests and benchmarks legitimately print and persist secret-adjacent
+    # fixtures.
+    default_paths=("src",),
+    default_baseline="taint-baseline.json",
+    catalogue_flag="--list-sinks",
+    catalogue_help="print the source/sink/sanitizer catalogue and exit",
+    print_catalogue=_print_catalogue,
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-taint",
-        description="secret-flow (source/sink/sanitizer) static analysis "
-        "for the repro tree (see docs/TAINT.md)",
-    )
-    add_taint_arguments(parser)
-    return run_taint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return TAINT.main(argv)

@@ -18,19 +18,15 @@ Runs in three stages over the discovered tree:
 
 from __future__ import annotations
 
-import ast
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis import framework
 from repro.analysis.framework import (
-    BAD_DIRECTIVE,
-    PARSE_ERROR,
+    AnalysisEngine,
     AnalysisReport,
     Baseline,
     Finding,
+    FileSuppressions,
     collect_aliases,
-    parse_suppressions,
     split_suppressed,
 )
 from repro.analysis.taint.policy import TaintPolicy, default_policy
@@ -47,7 +43,7 @@ class TaintReport(AnalysisReport):
     """The outcome of one taint run (the shared report shape)."""
 
 
-class TaintEngine:
+class TaintEngine(AnalysisEngine):
     """Source/sink/sanitizer dataflow analysis over a file tree.
 
     Args:
@@ -55,11 +51,14 @@ class TaintEngine:
             repository threat model (:func:`default_policy`).
         baseline: grandfathered findings (``taint-baseline.json`` ships
             empty; the mechanism exists for future policy additions).
-        obs: optional :class:`repro.obs.Observability`; emits
-            ``taint_files_scanned_total``, ``taint_findings_total{rule=...}``,
-            ``taint_suppressed_total{rule=...}`` and ``taint_baselined_total``.
+        obs: see :class:`~repro.analysis.framework.AnalysisEngine`
+            (counters are prefixed ``taint_``).
         max_passes: cross-module summary fixpoint bound.
     """
+
+    tool = "taint"
+    annotation_kinds = ANNOTATION_KINDS
+    report_type = TaintReport
 
     def __init__(
         self,
@@ -68,69 +67,32 @@ class TaintEngine:
         obs=None,
         max_passes: int = 5,
     ):
+        super().__init__(baseline=baseline, obs=obs)
         self.policy = policy if policy is not None else default_policy()
-        self.baseline = baseline
-        self.obs = obs
         self.max_passes = max_passes
 
-    def known_rules(self) -> List[str]:
-        return self.policy.rule_ids() + [PARSE_ERROR]
-
-    # -- discovery --------------------------------------------------------------
-
-    @staticmethod
-    def discover(root: str, paths: Sequence[str]) -> List[str]:
-        return framework.discover(root, paths, label="taint")
-
-    # -- analysis ---------------------------------------------------------------
+    def rule_ids(self) -> List[str]:
+        return self.policy.rule_ids()
 
     def analyze_sources(
         self, files: Sequence[Tuple[str, str]], root: str = ""
     ) -> TaintReport:
         """Analyze ``(relpath, source)`` pairs (filesystem-free entry point)."""
-        report = TaintReport(root=root)
-        report.files_scanned = len(files)
-        known = self.known_rules()
-
         modules: List[ModuleInfo] = []
-        per_file: Dict[str, List[Finding]] = {}
-        suppressions_by_file = {}
+        per_file: Dict[str, Tuple[List[Finding], FileSuppressions]] = {}
         for relpath, source in files:
-            source_lines = source.splitlines()
-            suppressions = parse_suppressions(
-                source_lines, known, tool="taint", annotation_kinds=ANNOTATION_KINDS
-            )
-            suppressions_by_file[relpath] = suppressions
-            findings = per_file.setdefault(relpath, [])
-            for line, column, message in suppressions.bad_directives:
-                findings.append(
-                    Finding(
-                        file=relpath, line=line, column=column,
-                        rule=BAD_DIRECTIVE, message=message,
+            tree, suppressions, findings = self.parse(relpath, source)
+            per_file[relpath] = (findings, suppressions)
+            if tree is not None:
+                modules.append(
+                    ModuleInfo(
+                        relpath=relpath,
+                        module=module_name(relpath),
+                        tree=tree,
+                        aliases=collect_aliases(tree),
+                        suppressions=suppressions,
                     )
                 )
-            try:
-                tree = ast.parse(source)
-            except SyntaxError as exc:
-                findings.append(
-                    Finding(
-                        file=relpath,
-                        line=exc.lineno or 1,
-                        column=(exc.offset or 1) - 1,
-                        rule=PARSE_ERROR,
-                        message=f"file does not parse: {exc.msg}",
-                    )
-                )
-                continue
-            modules.append(
-                ModuleInfo(
-                    relpath=relpath,
-                    module=module_name(relpath),
-                    tree=tree,
-                    aliases=collect_aliases(tree),
-                    suppressions=suppressions,
-                )
-            )
 
         table = SummaryTable()
         for _ in range(self.max_passes):
@@ -142,31 +104,13 @@ class TaintEngine:
 
         for info in modules:
             found = ModuleAnalyzer(info, self.policy, table, collect=True).run()
-            per_file.setdefault(info.relpath, []).extend(found)
+            per_file[info.relpath][0].extend(found)
 
-        raw: List[Finding] = []
-        for relpath in sorted(per_file):
-            findings = sorted(per_file[relpath])
-            live, suppressed = split_suppressed(findings, suppressions_by_file[relpath])
-            raw.extend(live)
-            report.suppressed.extend(suppressed)
-        raw.sort()
-        if self.baseline is not None:
-            report.findings, report.baselined = self.baseline.partition(raw)
-        else:
-            report.findings = raw
-        framework.emit_counters(report, self.obs, "taint")
-        return report
-
-    # -- whole-run entry point --------------------------------------------------
-
-    def run(self, root: str, paths: Sequence[str]) -> TaintReport:
-        """Analyze every ``.py`` file under ``paths`` (relative to ``root``)."""
-        files: List[Tuple[str, str]] = []
-        for relpath in self.discover(root, paths):
-            with open(os.path.join(root, relpath), encoding="utf-8") as handle:
-                files.append((relpath, handle.read()))
-        return self.analyze_sources(files, root=root)
+        splits = [
+            split_suppressed(sorted(findings), suppressions)
+            for _relpath, (findings, suppressions) in sorted(per_file.items())
+        ]
+        return self.finish(root, len(files), splits)
 
 
 def taint_paths(

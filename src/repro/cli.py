@@ -328,9 +328,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     channels = load_channels(args.channels, args.channel)
     config = ProtocolConfig(kappa=args.kappa, mu=args.mu, share_synthetic=True)
-    offered = args.offered_rate or practical_max_rate(
-        channels, args.mu, config.symbol_size
-    )
+    offered = args.offered_rate
+    if offered is None:
+        offered = practical_max_rate(channels, args.mu, config.symbol_size)
     fault_plan = load_fault_plan(args.faults, args.duration, args.warmup)
     resilience = None
     if args.resilience:
@@ -439,20 +439,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if not all(summary["compliant"] for summary in report.tenants.values()):
         return 1
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the AST-based determinism linter (see docs/LINTING.md)."""
-    from repro.lint.cli import run_lint
-
-    return run_lint(args)
-
-
-def cmd_taint(args: argparse.Namespace) -> int:
-    """Run the secret-taint static analysis (see docs/TAINT.md)."""
-    from repro.analysis.taint.cli import run_taint
-
-    return run_taint(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -706,10 +692,10 @@ def build_parser() -> argparse.ArgumentParser:
         "defaults and exact float comparisons absent from the simulation "
         "tree.  Exits 0 on a clean tree, 1 on findings.  See docs/LINTING.md.",
     )
-    from repro.lint.cli import add_lint_arguments
+    from repro.analysis.lint.cli import LINT
 
-    add_lint_arguments(lint)
-    lint.set_defaults(func=cmd_lint)
+    LINT.add_arguments(lint)
+    lint.set_defaults(func=LINT.run_cli)
 
     taint = sub.add_parser(
         "taint",
@@ -721,10 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
         "persistence or repr/f-string formatting.  Exits 0 on a clean "
         "tree, 1 on findings.  See docs/TAINT.md.",
     )
-    from repro.analysis.taint.cli import add_taint_arguments
+    from repro.analysis.taint.cli import TAINT
 
-    add_taint_arguments(taint)
-    taint.set_defaults(func=cmd_taint)
+    TAINT.add_arguments(taint)
+    taint.set_defaults(func=TAINT.run_cli)
 
     return parser
 

@@ -13,6 +13,22 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
+def check_offer_window(offered_rate: float, duration: float, warmup: float) -> None:
+    """Reject constant-rate workload inputs that cannot define a window.
+
+    ``offered_rate`` must be finite and positive (``1/inf`` is a zero
+    interval that reschedules forever), ``warmup`` finite and
+    non-negative and ``duration`` finite and positive; otherwise raises
+    a ``ValueError`` naming the argument, before any engine is built.
+    """
+    if not (math.isfinite(offered_rate) and offered_rate > 0):
+        raise ValueError(f"offered_rate must be finite and > 0, got {offered_rate}")
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise ValueError(f"warmup must be finite and >= 0, got {warmup}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
+
+
 class RateMeter:
     """Counts delivered symbols/bytes over an explicit measurement window.
 

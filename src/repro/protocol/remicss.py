@@ -181,9 +181,6 @@ class PointToPointNetwork:
                 )
             )
         self.fault_injector: Optional[FaultInjector] = None
-        #: Armed by :meth:`apply_attack`; typed loosely to avoid importing
-        #: the adversary package into every protocol user.
-        self.attack_injector = None
         # Host A sends on forward links and receives on reverse links.
         self.ports_a_out = [ChannelPort(i, d.forward) for i, d in enumerate(self.duplex)]
         self.ports_b_in = self.ports_a_out  # same objects: B registers receive callbacks
@@ -207,9 +204,9 @@ class PointToPointNetwork:
 
         ``risks`` defaults to the model channel risks -- exactly the
         ranking the adaptive attacker is assumed to know.  Returns the
-        armed :class:`~repro.adversary.active.engine.AttackInjector`
-        (also kept as :attr:`attack_injector`).  Imported lazily so the
-        protocol layer has no hard dependency on the adversary package.
+        armed :class:`~repro.adversary.active.engine.AttackInjector`.
+        Imported lazily so the protocol layer has no hard dependency on
+        the adversary package.
         """
         from repro.adversary.active.engine import AttackInjector
 
@@ -217,7 +214,6 @@ class PointToPointNetwork:
             risks = [channel.risk for channel in self.channels]
         injector = AttackInjector(self.engine, self.duplex, plan, registry, risks=risks)
         injector.arm()
-        self.attack_injector = injector
         return injector
 
     def node_pair(

@@ -18,7 +18,7 @@ from typing import Optional
 from repro.core.channel import ChannelSet
 from repro.core.schedule import ShareSchedule
 from repro.netsim.rng import RngRegistry
-from repro.netsim.trace import DelayStats
+from repro.netsim.trace import DelayStats, check_offer_window
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.workloads.setups import delay_to_ms
@@ -68,8 +68,7 @@ def run_echo(
     """
     if config.share_synthetic:
         raise ValueError("echo needs real payloads; disable share_synthetic")
-    if offered_rate <= 0:
-        raise ValueError(f"offered_rate must be positive, got {offered_rate}")
+    check_offer_window(offered_rate, duration, warmup)
     registry = RngRegistry(seed)
     network = PointToPointNetwork(
         channels, config.symbol_size, registry, queue_limit=queue_limit

@@ -22,7 +22,7 @@ from repro.adversary.active.plan import AttackPlan
 from repro.netsim.faults import FaultPlan
 from repro.netsim.host import CpuModel
 from repro.netsim.rng import RngRegistry
-from repro.netsim.trace import DelayStats, RateMeter
+from repro.netsim.trace import DelayStats, RateMeter, check_offer_window
 from repro.obs.instrument import (
     Observability,
     instrument_attack,
@@ -163,8 +163,7 @@ def run_iperf(
             root key directly.  Overrides ``config.auth`` when set; the
             config must use real share payloads.
     """
-    if offered_rate <= 0:
-        raise ValueError(f"offered_rate must be positive, got {offered_rate}")
+    check_offer_window(offered_rate, duration, warmup)
     if auth:
         from dataclasses import replace
 

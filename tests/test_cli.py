@@ -112,6 +112,19 @@ class TestPlanCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("rate", ["0", "inf", "nan", "-3"])
+    def test_bad_offered_rate_is_a_usage_error(self, channels_file, rate, capsys):
+        code = main(
+            [
+                "simulate", "--channels", channels_file,
+                "--kappa", "1", "--mu", "1",
+                "--duration", "5", "--warmup", "1",
+                "--offered-rate", rate,
+            ]
+        )
+        assert code == 2
+        assert "offered_rate must be finite and > 0" in capsys.readouterr().err
+
     def test_quick_run(self, channels_file, capsys):
         code = main(
             [

@@ -6,8 +6,9 @@ import os
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint import Baseline, lint_paths
-from repro.lint.cli import main as lint_main
+from repro.analysis.baseline import Baseline
+from repro.analysis.lint import lint_paths
+from repro.analysis.lint.cli import main as lint_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -13,7 +13,8 @@ import textwrap
 import pytest
 
 from repro.analysis.resolve import collect_aliases, qualified_name
-from repro.lint import Baseline, Finding, LintEngine, lint_paths
+from repro.analysis.framework import Baseline, Finding
+from repro.analysis.lint import LintEngine, lint_paths
 
 SCOPED = "src/repro/netsim/fixture.py"
 

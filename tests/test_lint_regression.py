@@ -15,9 +15,10 @@ import json
 
 import pytest
 
+from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
-from repro.lint import Baseline, LintEngine
-from repro.lint.cli import main as lint_main
+from repro.analysis.lint import LintEngine
+from repro.analysis.lint.cli import main as lint_main
 
 WALL_CLOCK_MESSAGE = (
     "wall-clock read time.time() is nondeterministic; use simulated time, "

@@ -7,7 +7,7 @@ alias resolution and scoping are covered on every case.
 
 import textwrap
 
-from repro.lint import LintEngine
+from repro.analysis.lint import LintEngine
 
 #: A path inside every rule's default scope (netsim is policed by all six).
 SCOPED = "src/repro/netsim/fixture.py"

@@ -4,16 +4,21 @@ Mirrors tests/test_lint_cli.py: temporary trees with planted leaks for
 the exit-code/format/baseline contract, plus the live-tree meta-test --
 the shipped repository must analyze clean with an *empty* baseline, so
 every secret flow in ``src/repro`` is either sanitized, declassified
-with a justification, or genuinely absent.
+with a justification, or genuinely absent.  Both analysers share one
+command line (:class:`repro.analysis.framework.AnalysisCli`), so the
+entry-point and baseline-path tests run for the linter too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.analysis.lint.cli import main as lint_main
 from repro.analysis.taint import TaintEngine, taint_paths
 from repro.analysis.taint.cli import main as taint_main
 from repro.cli import main as repro_main
@@ -29,6 +34,21 @@ CLEAN = """\
 def deliver(count):
     return count + 1
 """
+
+
+#: A wall-clock read: a determinism-lint finding, clean for taint.
+CLOCK = "import time\nt = time.time()\n"
+
+MAINS = {"lint": lint_main, "taint": taint_main}
+
+
+def run_python(*args):
+    """Run ``python <args>`` against this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
 
 
 def build_tree(tmp_path, files):
@@ -48,6 +68,12 @@ def leaky_tree(tmp_path):
             "src/repro/demo/clean.py": CLEAN,
         },
     )
+
+
+@pytest.fixture
+def hazard_tree(leaky_tree):
+    """One finding for each tool: a secret print and a wall-clock read."""
+    return build_tree(leaky_tree, {"src/repro/demo/clock.py": CLOCK})
 
 
 @pytest.fixture
@@ -93,8 +119,6 @@ class TestJsonFormat:
         """The shared framework keeps lint and taint JSON key-compatible."""
         taint_main(["--root", str(leaky_tree), "--format", "json", "src"])
         taint_payload = json.loads(capsys.readouterr().out)
-        from repro.lint.cli import main as lint_main
-
         lint_main(["--root", str(leaky_tree), "--format", "json", "src"])
         lint_payload = json.loads(capsys.readouterr().out)
         assert sorted(taint_payload) == sorted(lint_payload)
@@ -120,16 +144,51 @@ class TestBaseline:
         assert taint_main(["--root", str(leaky_tree), "src"]) == 1
         assert "taint-format" in capsys.readouterr().out
 
-    def test_explicit_baseline_path(self, leaky_tree, tmp_path, capsys):
+    @pytest.mark.parametrize("tool", sorted(MAINS))
+    def test_explicit_baseline_path(self, tool, hazard_tree, tmp_path, capsys):
+        main = MAINS[tool]
+        assert main(["--root", str(hazard_tree), "src"]) == 1
         custom = tmp_path / "custom-baseline.json"
-        taint_main(
-            ["--root", str(leaky_tree), "--update-baseline", "--baseline", str(custom), "src"]
+        main(
+            ["--root", str(hazard_tree), "--update-baseline", "--baseline", str(custom), "src"]
         )
         assert custom.exists()
         capsys.readouterr()
         assert (
-            taint_main(["--root", str(leaky_tree), "--baseline", str(custom), "src"]) == 0
+            main(["--root", str(hazard_tree), "--baseline", str(custom), "src"]) == 0
         )
+
+
+class TestBadBaseline:
+    """A broken baseline is a usage error (exit 2), never "findings
+    remain" (exit 1), under every entry point of both tools."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            '{"version": 1, "findings": [{"file": "src/a.py", "message": "m"}]}',
+        ],
+        ids=["malformed-json", "entry-without-rule"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [("-m", "repro.analysis.{tool}"), ("-m", "repro.cli", "{tool}")],
+        ids=["module", "repro-model"],
+    )
+    @pytest.mark.parametrize("tool", sorted(MAINS))
+    def test_exit_two_naming_the_file(self, tool, entry, content, clean_tree):
+        bad = clean_tree / "bad-baseline.json"
+        bad.write_text(content)
+        command = [part.format(tool=tool) for part in entry]
+        proc = run_python(
+            *command, "--root", str(clean_tree), "--baseline", str(bad), "src"
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestCatalogue:
@@ -170,17 +229,10 @@ class TestReproCli:
         assert repro_main(["taint", "--root", str(leaky_tree), "src"]) == 1
         assert "taint-print" in capsys.readouterr().out
 
-    def test_module_entry_point(self, clean_tree):
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.taint", "--root", str(clean_tree), "src"],
-            capture_output=True,
-            text=True,
-            env=env,
+    @pytest.mark.parametrize("tool", sorted(MAINS))
+    def test_module_entry_point(self, tool, clean_tree):
+        proc = run_python(
+            "-m", f"repro.analysis.{tool}", "--root", str(clean_tree), "src"
         )
         assert proc.returncode == 0, proc.stderr
 

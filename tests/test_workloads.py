@@ -1,8 +1,12 @@
 """Setups, unit conversions, and the iperf/echo workload tools."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.adversary.active.harness import run_under_attack
+from repro.adversary.active.plan import AttackPlan
 from repro.core.rate import optimal_rate
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.echo import run_echo
@@ -163,6 +167,52 @@ class TestIperf:
         b = run_iperf(channels, config, offered_rate=50.0, duration=5.0, warmup=1.0, seed=9)
         assert a.achieved_rate == b.achieved_rate
         assert a.loss_fraction == b.loss_fraction
+
+
+class TestOfferWindowValidation:
+    """Constant-rate workloads reject inputs that cannot define an offer
+    window before building an engine: ``offered_rate=inf`` would
+    reschedule at t=0 forever, a NaN window never opens or closes."""
+
+    BAD = [
+        ("offered_rate", 0.0),
+        ("offered_rate", -1.0),
+        ("offered_rate", math.inf),
+        ("offered_rate", math.nan),
+        ("warmup", -1.0),
+        ("warmup", math.nan),
+        ("warmup", math.inf),
+        ("duration", 0.0),
+        ("duration", -1.0),
+        ("duration", math.nan),
+        ("duration", math.inf),
+    ]
+
+    @staticmethod
+    def workloads():
+        channels = identical_setup(10.0)
+        return {
+            "iperf": lambda **kw: run_iperf(
+                channels, ProtocolConfig(share_synthetic=True), **kw
+            ),
+            "echo": lambda **kw: run_echo(channels, ProtocolConfig(), **kw),
+            "under_attack": lambda **kw: run_under_attack(AttackPlan(), **kw),
+        }
+
+    @pytest.mark.parametrize("workload", ["iperf", "echo", "under_attack"])
+    @pytest.mark.parametrize("argument,value", BAD)
+    def test_rejects_with_the_argument_named(self, workload, argument, value):
+        window = {"offered_rate": 2.0, "duration": 5.0, "warmup": 1.0}
+        window[argument] = value
+        with pytest.raises(ValueError, match=f"^{argument} must be finite"):
+            self.workloads()[workload](**window)
+
+    def test_zero_warmup_is_allowed(self):
+        result = run_iperf(
+            identical_setup(10.0), ProtocolConfig(share_synthetic=True),
+            offered_rate=5.0, duration=2.0, warmup=0.0,
+        )
+        assert result.symbols_delivered > 0
 
 
 class TestEcho:
