@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.channel import Channel, ChannelSet
 from repro.netsim.rng import RngRegistry
 from repro.netsim.trace import check_offer_window
-from repro.protocol.auth import AuthConfig, derive_root_key
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.protocol.resilience import ResilienceConfig, ResilienceManager
+from repro.protocol.resilience import ResilienceConfig
+from repro.protocol.testbed import Testbed, offer_at_rate, seed_auth, update_digest
 from repro.adversary.active.plan import AttackPlan
 
 #: Extra run time after the offer window closes so in-flight shares,
@@ -73,7 +73,6 @@ def run_under_attack(
     resilience: bool = False,
     requirements=None,
     channels: Optional[ChannelSet] = None,
-    risks: Optional[Sequence[float]] = None,
     auth: bool = False,
 ) -> dict:
     """Run one seeded measurement under ``plan`` and return a JSON row.
@@ -92,11 +91,10 @@ def run_under_attack(
         seed: root seed for everything (workload, protocol, attack).
         resilience: arm the resilience layer (quarantine/failover/repair)
             on the A -> B direction.
-        requirements: deployment bounds handed to the failover LP; only
-            meaningful with ``resilience``.
-        channels: testbed override (default :func:`default_channels`).
-        risks: adaptive-attacker risk ranking override (defaults to the
-            channel set's own risks).
+        requirements: deployment bounds handed to the failover LP;
+            requires ``resilience`` (``ValueError`` otherwise).
+        channels: testbed override (default :func:`default_channels`); the
+            adaptive attacker ranks them by their own risks.
         auth: arm authenticated shares (docs/AUTH.md): every share carries
             a keyed MAC under a root key derived from ``seed``, the
             receiver drops bad-tag shares before reassembly, and robust
@@ -111,24 +109,24 @@ def run_under_attack(
     if channels is None:
         channels = default_channels()
     registry = RngRegistry(seed)
+    # Auth goes in at construction: it relaxes the µ bound the config checks.
     config = ProtocolConfig(
         kappa=kappa,
         mu=mu,
         symbol_size=symbol_size,
         share_synthetic=False,
         byzantine_tolerance=tolerance,
-        auth=AuthConfig(root_key=derive_root_key(seed)) if auth else None,
+        auth=seed_auth(registry) if auth else None,
     )
     network = PointToPointNetwork(channels, symbol_size, registry)
+    testbed = Testbed.over(
+        network, config, registry,
+        attack_plan=plan,
+        resilience=ResilienceConfig() if resilience else None,
+        requirements=requirements,
+    )
     engine = network.engine
-    attacker = network.apply_attack(plan, registry, risks=risks)
-    node_a, node_b = network.node_pair(config, registry)
-    manager = None
-    if resilience:
-        manager = ResilienceManager(
-            network, node_a, node_b, config, ResilienceConfig(), registry,
-            requirements=requirements,
-        )
+    node_a, node_b = testbed.node_a, testbed.node_b
 
     # Remember every accepted payload by its (acceptance-order) sequence
     # number; compare each delivery byte-for-byte against it.
@@ -140,8 +138,7 @@ def run_under_attack(
 
     def on_deliver(seq: int, payload: Optional[bytes], delay: float) -> None:
         delivered["count"] += 1
-        body = hashlib.sha256(payload).hexdigest() if payload is not None else "none"
-        digest.update(f"{seq}:{body}:{delay!r}\n".encode())
+        update_digest(digest, seq, payload, delay)
         original = originals.get(seq)
         if original is None or payload != original:
             wrong["count"] += 1
@@ -149,18 +146,15 @@ def run_under_attack(
     node_b.on_deliver(on_deliver)
 
     payload_rng = registry.stream("workload.payload")
-    interval = 1.0 / offered_rate
-    end_time = warmup + duration
 
     def offer() -> None:
         payload = payload_rng.bytes(symbol_size)
         if node_a.send(payload):
             originals[accepted["count"]] = payload
             accepted["count"] += 1
-        if engine.now + interval < end_time:
-            engine.schedule(interval, offer)
 
-    engine.schedule_at(0.0, offer)
+    end_time = warmup + duration
+    offer_at_rate(engine, offered_rate, end_time, offer)
     # run_until, never run(): the attack campaigns self-reschedule and an
     # open-ended run would chase forge/replay ticks forever.
     engine.run_until(end_time + DRAIN)
@@ -170,6 +164,7 @@ def run_under_attack(
     picks = sorted(node_a.sender.schedule_picks.items())
     min_k = min((k for (k, _m), _count in picks), default=None)
     k_floor = math.floor(kappa)
+    summaries = testbed.summaries()
     row = {
         "transmitted": sender_stats.symbols_sent,
         "delivered": delivered["count"],
@@ -194,8 +189,8 @@ def run_under_attack(
             str(channel): count
             for channel, count in sorted(receiver.auth_fail_by_channel.items())
         },
-        "attack": attacker.summary(),
-        "resilience": manager.summary() if manager is not None else None,
+        "attack": summaries["attack"],
+        "resilience": summaries["resilience"],
         "digest": digest.hexdigest(),
     }
     return row

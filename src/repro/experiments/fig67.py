@@ -60,8 +60,7 @@ def fig67_point(params: Dict[str, float], seed: int) -> Dict[str, float]:
         duration=params["duration"],
         warmup=params["warmup"],
         seed=seed,
-        sender_cpu_capacity=CPU_CAPACITY,
-        receiver_cpu_capacity=CPU_CAPACITY,
+        cpu_capacity=CPU_CAPACITY,
     )
     optimum = min(optimal_rate(channels, mu), OFFERED_RATE)
     return {

@@ -33,6 +33,8 @@ from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.scheduler import DynamicParameterSampler, ParameterSampler
+from repro.protocol.testbed import Testbed
+from repro.protocol.testbed import update_digest as _digest_update
 
 __all__ = ["run_cell"]
 
@@ -55,11 +57,6 @@ class _AuditedSampler(ParameterSampler):
         if total == 0:
             return None
         return sum(k * count for (k, _m), count in self.picks.items()) / total
-
-
-def _digest_update(digest: "hashlib._Hash", seq: int, payload: Optional[bytes], delay: float) -> None:
-    body = "-" if payload is None else hashlib.sha256(payload).hexdigest()
-    digest.update(f"{seq}:{body}:{delay!r}\n".encode())
 
 
 def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
@@ -96,23 +93,12 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     )
     registry = RngRegistry(seed)
     network = PointToPointNetwork(channels, symbol_size, registry)
-    auth_config = None
-    if auth:
-        # The cell's root key derives from its seed -- which itself derives
-        # from the cell's identity alone -- so any shard computes the same
-        # keys; per-flow keys then derive by flow id, so every tenant flow
-        # is authenticated under its own key (docs/AUTH.md).
-        from repro.protocol.auth import AuthConfig, derive_root_key
-
-        auth_config = AuthConfig(root_key=derive_root_key(seed))
-    config = ProtocolConfig(
-        kappa=1.0,
-        mu=1.0,
-        symbol_size=symbol_size,
-        share_synthetic=synthetic,
-        auth=auth_config,
-    )
-    node_a, node_b = network.node_pair(config, registry)
+    config = ProtocolConfig(kappa=1.0, mu=1.0, symbol_size=symbol_size, share_synthetic=synthetic)
+    # With auth, the root key derives from the cell's seed, itself derived
+    # from the cell's identity alone, so any shard computes the same keys;
+    # per-flow keys derive by flow id (docs/AUTH.md).
+    testbed = Testbed.over(network, config, registry, auth=auth)
+    node_a, node_b = testbed.node_a, testbed.node_b
     mux = FlowMux(
         node_a.sender,
         quantum=float(params["quantum"]),

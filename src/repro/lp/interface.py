@@ -120,27 +120,20 @@ def solve(problem: LinearProgram, backend: str = "auto") -> LPSolution:
 
     Args:
         problem: the standard-form LP.
-        backend: "simplex" (this package's own solver), "scipy" (HiGHS), or
-            "auto" (scipy when available, otherwise simplex).
+        backend: "scipy" (HiGHS; also "auto") or "simplex" (this package's
+            own solver, the independent oracle of tests and ablations).
 
     Raises:
         InfeasibleError: no feasible point exists.
         UnboundedError: the objective is unbounded below.
         ValueError: unknown backend name.
     """
-    if backend == "auto":
-        try:
-            from repro.lp import scipy_backend  # noqa: F401  (probe import)
+    if backend in ("auto", "scipy"):
+        from repro.lp.scipy_backend import solve_scipy
 
-            backend = "scipy"
-        except ImportError:  # pragma: no cover - scipy is a hard dependency
-            backend = "simplex"
+        return solve_scipy(problem)
     if backend == "simplex":
         from repro.lp.simplex import solve_simplex
 
         return solve_simplex(problem)
-    if backend == "scipy":
-        from repro.lp.scipy_backend import solve_scipy
-
-        return solve_scipy(problem)
     raise ValueError(f"unknown LP backend {backend!r}")

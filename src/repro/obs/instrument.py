@@ -32,8 +32,8 @@ from repro.obs.tracing import DEFAULT_CAPACITY, NullTracer, Tracer
 class Observability:
     """A registry + tracer bundle handed through the simulation stack.
 
-    Build one with :meth:`create` (live) or :meth:`disabled` (no-op), then
-    wire it with :func:`instrument_network` / :func:`instrument_node`.
+    Build one with :meth:`create` (live) or :meth:`disabled` (no-op) and
+    hand it to ``Testbed.over(obs=...)``, which wires every part it builds.
     ``obs.enabled`` distinguishes the two without isinstance checks.
     """
 
@@ -172,8 +172,8 @@ def instrument_network(obs: Observability, network) -> None:
 
     Binds the tracer clock to the network's engine, attaches the engine
     dispatch hook, registers pull collectors for every link, and -- if a
-    fault injector is (or later becomes) armed -- exports its applied-event
-    counts and traces each applied fault.
+    fault injector is armed (``Testbed.over`` arms it first) -- exports its
+    applied-event counts and traces each applied fault.
     """
     if not obs.enabled:
         return
@@ -188,13 +188,12 @@ def instrument_network(obs: Observability, network) -> None:
             _link_collector(registry, duplex.reverse, channel, "rev")
         )
 
-    if network.fault_injector is not None:
-        network.fault_injector.tracer = obs.tracer
+    injector = network.fault_injector
+    if injector is None:
+        return
+    injector.tracer = obs.tracer
 
     def collect_faults() -> None:
-        injector = network.fault_injector
-        if injector is None:
-            return
         summary = injector.summary()
         for action, count in summary["by_action"].items():
             registry.counter("sim_fault_events_total", action=action).value = float(count)

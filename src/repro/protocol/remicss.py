@@ -9,7 +9,7 @@ indices carried through so measured and predicted vectors line up.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.channel import ChannelSet
 from repro.core.schedule import ShareSchedule
@@ -30,16 +30,6 @@ from repro.protocol.sender import ShareSender
 
 #: Delivery callback signature: (seq, payload-or-None, one-way delay).
 DeliverCallback = Callable[[int, Optional[bytes], float], None]
-
-
-def _per_channel(value: Union[float, Sequence[float]], n: int, label: str) -> List[float]:
-    """Broadcast a scalar (or validate a per-channel sequence) to n values."""
-    if isinstance(value, (int, float)):
-        return [float(value)] * n
-    values = [float(v) for v in value]
-    if len(values) != n:
-        raise ValueError(f"{label} needs one value per channel ({n}), got {len(values)}")
-    return values
 
 
 class RemicssNode:
@@ -144,10 +134,9 @@ class PointToPointNetwork:
         symbol_size: the protocol's symbol payload size in bytes.
         rng_registry: random streams for per-link loss draws.
         queue_limit: per-link queue capacity in packets.
-        jitter: netem-style delay variation, a scalar applied to every
-            channel or one value per channel.
-        corruption: per-delivery tamper probability (the Byzantine channel
-            of the PSMT threat model), scalar or per channel.
+
+    Links start without jitter or corruption; set them per link or with a
+    fault plan.
     """
 
     def __init__(
@@ -156,14 +145,10 @@ class PointToPointNetwork:
         symbol_size: int,
         rng_registry: RngRegistry,
         queue_limit: int = 16,
-        jitter: Union[float, Sequence[float]] = 0.0,
-        corruption: Union[float, Sequence[float]] = 0.0,
     ):
         self.engine = Engine()
         self.channels = channels
         self.symbol_size = symbol_size
-        jitters = _per_channel(jitter, channels.n, "jitter")
-        corruptions = _per_channel(corruption, channels.n, "corruption")
         self.duplex: List[DuplexChannel] = []
         for i, channel in enumerate(channels):
             self.duplex.append(
@@ -175,8 +160,6 @@ class PointToPointNetwork:
                     forward_rng=rng_registry.stream(f"link{i}.fwd.loss"),
                     reverse_rng=rng_registry.stream(f"link{i}.rev.loss"),
                     queue_limit=queue_limit,
-                    jitter=jitters[i],
-                    corruption=corruptions[i],
                     name=channel.name or f"ch{i}",
                 )
             )

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.channel import ChannelSet
-from repro.core.schedule import ShareSchedule
 from repro.netsim.rng import RngRegistry
 from repro.netsim.trace import DelayStats, check_offer_window
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
+from repro.protocol.testbed import Testbed, offer_at_rate
 from repro.workloads.setups import delay_to_ms
 
 _TIMESTAMP = struct.Struct(">d")
@@ -58,8 +58,6 @@ def run_echo(
     duration: float = 30.0,
     warmup: float = 5.0,
     seed: int = 1,
-    schedule: Optional[ShareSchedule] = None,
-    queue_limit: int = 16,
 ) -> EchoResult:
     """Run the echo client/server pair and report mean one-way delay.
 
@@ -70,11 +68,10 @@ def run_echo(
         raise ValueError("echo needs real payloads; disable share_synthetic")
     check_offer_window(offered_rate, duration, warmup)
     registry = RngRegistry(seed)
-    network = PointToPointNetwork(
-        channels, config.symbol_size, registry, queue_limit=queue_limit
-    )
+    network = PointToPointNetwork(channels, config.symbol_size, registry)
+    testbed = Testbed.over(network, config, registry)
     engine = network.engine
-    client, server = network.node_pair(config, registry, schedule=schedule)
+    client, server = testbed.node_a, testbed.node_b
 
     stats = DelayStats()
     sent = {"count": 0}
@@ -94,7 +91,6 @@ def run_echo(
     server.on_deliver(on_server_deliver)
     client.on_deliver(on_client_deliver)
 
-    interval = 1.0 / offered_rate
     end_time = warmup + duration
     padding = b"\0" * (config.symbol_size - _TIMESTAMP.size)
 
@@ -102,10 +98,8 @@ def run_echo(
         payload = _TIMESTAMP.pack(engine.now) + padding
         if client.send(payload):
             sent["count"] += 1
-        if engine.now + interval < end_time:
-            engine.schedule(interval, offer)
 
-    engine.schedule_at(0.0, offer)
+    offer_at_rate(engine, offered_rate, end_time, offer)
     engine.schedule_at(warmup, lambda: window.__setitem__("open", True))
     # Let late echoes drain a little so the tail of the window is counted.
     engine.run_until(end_time + warmup)

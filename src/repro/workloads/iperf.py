@@ -18,21 +18,14 @@ from typing import Optional
 from repro.core.channel import ChannelSet
 from repro.core.planner import Requirements
 from repro.core.schedule import ShareSchedule
-from repro.adversary.active.plan import AttackPlan
 from repro.netsim.faults import FaultPlan
-from repro.netsim.host import CpuModel
 from repro.netsim.rng import RngRegistry
 from repro.netsim.trace import DelayStats, RateMeter, check_offer_window
-from repro.obs.instrument import (
-    Observability,
-    instrument_attack,
-    instrument_network,
-    instrument_node,
-    instrument_resilience,
-)
+from repro.obs.instrument import Observability
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.protocol.resilience import ResilienceConfig, ResilienceManager
+from repro.protocol.resilience import ResilienceConfig
+from repro.protocol.testbed import Testbed, offer_at_rate
 from repro.workloads.setups import delay_to_ms, rate_to_mbps
 
 
@@ -54,9 +47,6 @@ class IperfResult:
             measurement window (unit times).
         fault_summary: applied fault-event summary when a fault plan was
             injected, else ``None``.
-        attack_summary: applied attack-event summary (incl. the
-            adversary's stat ledger) when an attack plan was armed, else
-            ``None``.
         resilience_summary: resilience-layer summary (quarantines,
             failovers, repair counters, transitions) when the layer was
             enabled, else ``None``.
@@ -72,7 +62,6 @@ class IperfResult:
     receiver_stats: dict
     delay_stats: DelayStats = field(default_factory=DelayStats)
     fault_summary: Optional[dict] = None
-    attack_summary: Optional[dict] = None
     resilience_summary: Optional[dict] = None
 
     @property
@@ -113,16 +102,12 @@ def run_iperf(
     warmup: float = 5.0,
     seed: int = 1,
     schedule: Optional[ShareSchedule] = None,
-    sender_cpu_capacity: Optional[float] = None,
-    receiver_cpu_capacity: Optional[float] = None,
-    cpu_queue_limit: int = 64,
-    queue_limit: int = 16,
+    cpu_capacity: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
-    attack_plan: Optional[AttackPlan] = None,
     obs: Optional[Observability] = None,
     resilience: Optional[ResilienceConfig] = None,
     requirements: Optional[Requirements] = None,
-    auth: "bool | bytes" = False,
+    auth: bool = False,
 ) -> IperfResult:
     """Run one iperf-style measurement and return its results.
 
@@ -134,121 +119,60 @@ def run_iperf(
         duration: measurement window length (unit times).
         warmup: time before the window opens (queues fill, rates settle).
         seed: root seed for all randomness in the run.
-        schedule: optional explicit share schedule (otherwise the dynamic
-            (κ, µ) sampler from ``config`` is used).
-        sender_cpu_capacity: finite sender CPU capacity (work units per
-            unit time); ``None`` disables the CPU bottleneck.
-        receiver_cpu_capacity: same for the receiver.
-        cpu_queue_limit: receiver CPU queue bound (overload -> drops).
-        queue_limit: per-link queue capacity in packets.
-        fault_plan: optional deterministic fault timeline (see
-            :mod:`repro.netsim.faults`) armed against the run's channels.
-        attack_plan: optional active-adversary timeline (see
-            :mod:`repro.adversary.active` and docs/ADVERSARY.md) armed
-            against the run's channels; the adaptive attacker sees the
-            channel set's own risk ranking.
-        obs: optional :class:`~repro.obs.instrument.Observability` bundle;
-            when given, the network, fault injector and both protocol
-            nodes are instrumented and the caller snapshots
-            ``obs.registry`` after the run (see docs/OBSERVABILITY.md).
-        resilience: optional resilience tunables; when given, a
-            :class:`~repro.protocol.resilience.ResilienceManager` protects
-            the A -> B direction (quarantine, failover, repair -- see
-            docs/RESILIENCE.md).
-        requirements: deployment bounds for the resilience layer's LP
-            failover; without them failover masks the dynamic selector
-            instead of re-planning.
-        auth: arm authenticated shares (docs/AUTH.md).  ``True`` derives
-            the root key from ``seed``; a ``bytes`` value is used as the
-            root key directly.  Overrides ``config.auth`` when set; the
-            config must use real share payloads.
+        schedule, cpu_capacity, fault_plan, obs, resilience, requirements,
+        auth: the testbed parts, armed by
+            :meth:`~repro.protocol.testbed.Testbed.over` (links queue 16
+            packets).  With ``obs`` the caller snapshots ``obs.registry``
+            after the run; without ``requirements`` the resilience
+            failover masks the dynamic selector instead of re-planning.
+
+    Raises:
+        ValueError: an offer window that cannot be run, or
+            ``requirements`` without ``resilience``.
     """
     check_offer_window(offered_rate, duration, warmup)
-    if auth:
-        from dataclasses import replace
-
-        from repro.protocol.auth import AuthConfig, derive_root_key
-
-        root_key = auth if isinstance(auth, (bytes, bytearray)) else derive_root_key(seed)
-        config = replace(config, auth=AuthConfig(root_key=bytes(root_key)))
     registry = RngRegistry(seed)
-    network = PointToPointNetwork(
-        channels, config.symbol_size, registry, queue_limit=queue_limit
+    network = PointToPointNetwork(channels, config.symbol_size, registry)
+    testbed = Testbed.over(
+        network, config, registry,
+        auth=auth, schedule=schedule, cpu_capacity=cpu_capacity,
+        fault_plan=fault_plan, resilience=resilience,
+        requirements=requirements, obs=obs,
     )
     engine = network.engine
-    injector = network.apply_faults(fault_plan) if fault_plan is not None else None
-    attacker = (
-        network.apply_attack(attack_plan, registry) if attack_plan is not None else None
-    )
-    sender_cpu = (
-        CpuModel(engine, sender_cpu_capacity) if sender_cpu_capacity else None
-    )
-    receiver_cpu = (
-        CpuModel(engine, receiver_cpu_capacity, queue_limit=cpu_queue_limit)
-        if receiver_cpu_capacity
-        else None
-    )
-    node_a, node_b = network.node_pair(
-        config,
-        registry,
-        schedule=schedule,
-        sender_cpu=sender_cpu,
-        receiver_cpu=receiver_cpu,
-    )
-    manager = None
-    if resilience is not None:
-        manager = ResilienceManager(
-            network, node_a, node_b, config, resilience, registry,
-            requirements=requirements,
-        )
-    if obs is not None:
-        instrument_network(obs, network)
-        instrument_node(obs, node_a)
-        instrument_node(obs, node_b)
-        if manager is not None:
-            instrument_resilience(obs, manager)
-        if attacker is not None:
-            instrument_attack(obs, attacker)
+    node_a, node_b = testbed.node_a, testbed.node_b
 
     meter = RateMeter()
     delays = DelayStats()
-    measuring = {"open": False}
+    window = {"open": False, "sent_before": 0}
 
     def on_deliver(seq, payload, delay):
         meter.record(engine.now)
-        if measuring["open"]:
+        if window["open"]:
             delays.record(delay)
 
     node_b.on_deliver(on_deliver)
 
     payload_rng = registry.stream("workload.payload")
-    interval = 1.0 / offered_rate
     end_time = warmup + duration
 
     def offer() -> None:
-        if config.share_synthetic:
-            node_a.send(None)
-        else:
-            node_a.send(payload_rng.bytes(config.symbol_size))
-        if engine.now + interval < end_time:
-            engine.schedule(interval, offer)
+        node_a.send(None if config.share_synthetic else payload_rng.bytes(config.symbol_size))
 
-    engine.schedule_at(0.0, offer)
-
-    transmitted_at_open = {"value": 0}
+    offer_at_rate(engine, offered_rate, end_time, offer)
 
     def open_window() -> None:
         meter.start(engine.now)
-        measuring["open"] = True
-        transmitted_at_open["value"] = node_a.sender.stats.symbols_sent
+        window.update(open=True, sent_before=node_a.sender.stats.symbols_sent)
 
     engine.schedule_at(warmup, open_window)
     engine.run_until(end_time)
     meter.stop(engine.now)
 
-    transmitted = node_a.sender.stats.symbols_sent - transmitted_at_open["value"]
+    transmitted = node_a.sender.stats.symbols_sent - window["sent_before"]
     delivered = meter.count
     loss_fraction = 1.0 - delivered / transmitted if transmitted else 0.0
+    summaries = testbed.summaries()
     return IperfResult(
         achieved_rate=meter.rate(),
         offered_rate=offered_rate,
@@ -259,7 +183,6 @@ def run_iperf(
         sender_stats=node_a.sender.stats.as_dict(),
         receiver_stats=node_b.receiver.stats.as_dict(),
         delay_stats=delays,
-        fault_summary=injector.summary() if injector is not None else None,
-        attack_summary=attacker.summary() if attacker is not None else None,
-        resilience_summary=manager.summary() if manager is not None else None,
+        fault_summary=summaries["faults"],
+        resilience_summary=summaries["resilience"],
     )

@@ -30,6 +30,7 @@ from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.dibs import DibsInterceptor
 from repro.protocol.remicss import PointToPointNetwork
+from repro.protocol.testbed import Testbed
 
 #: One trace event: (send time, application datagram payload).
 TraceEvent = Tuple[float, bytes]
@@ -135,7 +136,6 @@ def run_trace(
     duration: float = 30.0,
     seed: int = 1,
     drain: float = 20.0,
-    **generator_kwargs,
 ) -> TraceResult:
     """Tunnel a synthetic application trace between two protocol nodes.
 
@@ -146,7 +146,6 @@ def run_trace(
         duration: trace length in unit times.
         seed: root seed for the trace and the network.
         drain: extra time to let in-flight data arrive.
-        **generator_kwargs: forwarded to the trace generator.
     """
     if config.share_synthetic:
         raise ValueError("trace workloads need real payloads")
@@ -154,14 +153,15 @@ def run_trace(
         raise ValueError(f"unknown trace kind {kind!r}; options: {sorted(TRACE_GENERATORS)}")
     registry = RngRegistry(seed)
     network = PointToPointNetwork(channels, config.symbol_size, registry)
-    node_a, node_b = network.node_pair(config, registry)
+    testbed = Testbed.over(network, config, registry)
+    node_a, node_b = testbed.node_a, testbed.node_b
 
     received: List[bytes] = []
     DibsInterceptor(node_b, on_datagram=received.append)
     tunnel = DibsInterceptor(node_a)
 
     events = sorted(
-        TRACE_GENERATORS[kind](duration, registry.stream("trace"), **generator_kwargs),
+        TRACE_GENERATORS[kind](duration, registry.stream("trace")),
         key=lambda event: event[0],
     )
     sent_payloads = [payload for _, payload in events]

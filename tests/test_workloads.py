@@ -8,6 +8,7 @@ import pytest
 from repro.adversary.active.harness import run_under_attack
 from repro.adversary.active.plan import AttackPlan
 from repro.core.rate import optimal_rate
+from repro.protocol.auth import AuthConfig
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.echo import run_echo
 from repro.workloads.iperf import run_iperf
@@ -143,12 +144,12 @@ class TestIperf:
         assert result.receiver_stats["auth_failed_shares"] == 0  # no adversary
 
     def test_auth_accepts_explicit_root_key(self):
+        # An out-of-band root key rides in the config, not in auth=.
         channels = identical_setup(50.0)
-        config = ProtocolConfig(kappa=2.0, mu=3.0)
-        result = run_iperf(
-            channels, config, offered_rate=30.0, duration=5.0, warmup=1.0,
-            auth=b"an out-of-band 16B+",
+        config = ProtocolConfig(
+            kappa=2.0, mu=3.0, auth=AuthConfig(root_key=b"an out-of-band 16B+")
         )
+        result = run_iperf(channels, config, offered_rate=30.0, duration=5.0, warmup=1.0)
         assert result.symbols_delivered > 0
         assert result.receiver_stats["auth_verified_shares"] > 0
 
