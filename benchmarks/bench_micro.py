@@ -17,20 +17,31 @@ committed throughput trend (see ``BENCH_micro.json`` at the repo root and
 batch-over-scalar split speedup has regressed more than 20% relative to
 the committed baseline.  The gate compares *speedups*, not absolute MB/s,
 so it is meaningful across machines of different strength.
+
+The ``engine`` block records the simulator's work on one fixed Figure 3
+point: exact counts of dispatched events, heap pushes, readiness selects
+and writable polls, which ``--check`` requires to match the committed file
+exactly (they are machine-independent), plus an events/s trend that is
+recorded but not gated.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.program import Objective, build_program
 from repro.core.properties import subset_delay, subset_loss, subset_risk
+from repro.experiments.fig3 import fig3_point
 from repro.lp import solve
 from repro.netsim.engine import Engine
+from repro.netsim.link import Link
+from repro.netsim.readiness import WriteSelector
 from repro.sharing.ramp import RampScheme
 from repro.sharing.reference import (
     scalar_ramp_reconstruct,
@@ -262,12 +273,72 @@ def run_micro(repeats: int = 5) -> dict:
         "payload_bytes": len(SYMBOL),
         "repeats": repeats,
         "schemes": schemes,
+        "engine": run_engine(repeats),
+    }
+
+
+#: The fixed Figure 3 point behind the ``engine`` block: the Diverse setup
+#: at the figure_sweep workload's duration and warm-up.
+ENGINE_POINT = {"setup": "diverse", "kappa": 2.0, "mu": 3.0, "duration": 5.0, "warmup": 1.0}
+ENGINE_SEED = 7
+#: Exact work counts gated by --check, and the method each one counts
+#: (``events`` comes from the engines' own dispatch counters).
+ENGINE_COUNTED = {
+    "schedules": (Engine, "schedule_at"),
+    "selects": (WriteSelector, "select"),
+    "writable_polls": (Link, "writable"),
+}
+ENGINE_COUNTS = ("events",) + tuple(ENGINE_COUNTED)
+
+
+def _run_engine_point() -> None:
+    fig3_point(dict(ENGINE_POINT), ENGINE_SEED)
+
+
+def count_engine_work() -> dict:
+    """Run the engine point once under counting mocks of the hot methods."""
+    with contextlib.ExitStack() as stack:
+        mocks = {
+            key: stack.enter_context(
+                mock.patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
+            )
+            for key, (cls, name) in ENGINE_COUNTED.items()
+        }
+        _run_engine_point()
+    engines = {call.args[0] for call in mocks["schedules"].call_args_list}
+    return {
+        "events": sum(engine.events_processed for engine in engines),
+        **{key: counted.call_count for key, counted in mocks.items()},
+    }
+
+
+def run_engine(repeats: int) -> dict:
+    """Exact work counts for the engine point, plus its untraced events/s."""
+    counts = count_engine_work()
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        _run_engine_point()
+        best = min(best, time.perf_counter() - started)
+    return {
+        "point": dict(ENGINE_POINT),
+        "seed": ENGINE_SEED,
+        **counts,
+        "events_per_s": round(counts["events"] / best, 1),
     }
 
 
 def check_against_baseline(results: dict, baseline: dict) -> "list[str]":
-    """Speedup-ratio regression gate; returns failure messages (empty = pass)."""
+    """Speedup-ratio and engine-count regression gate; returns failure
+    messages (empty = pass)."""
     failures = []
+    for key in ENGINE_COUNTS:
+        current, committed = results["engine"][key], baseline["engine"][key]
+        if current != committed:
+            failures.append(
+                f"engine.{key}: {current} on the fixed Figure 3 point, "
+                f"committed {committed} (counts must match exactly)"
+            )
     for scheme, ops in baseline["schemes"].items():
         for op, committed in ops.items():
             current = results["schemes"][scheme][op]["speedup"]
@@ -306,6 +377,12 @@ def main() -> None:
                 f"{scheme:>14s} {op:<11s} scalar {row['scalar_mbps']:>10.3f} MB/s   "
                 f"batch {row['batch_mbps']:>10.3f} MB/s   ({row['speedup']:.1f}x)"
             )
+    engine = results["engine"]
+    print(
+        "engine point  "
+        + "   ".join(f"{key} {engine[key]}" for key in ENGINE_COUNTS)
+        + f"   ({engine['events_per_s']:.0f} events/s)"
+    )
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
@@ -319,7 +396,10 @@ def main() -> None:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:
             sys.exit(1)
-        print(f"regression gate ok (tolerance {CHECK_TOLERANCE:.0%} of committed speedup)")
+        print(
+            f"regression gate ok (tolerance {CHECK_TOLERANCE:.0%} of committed speedup, "
+            "engine counts exact)"
+        )
 
 
 if __name__ == "__main__":

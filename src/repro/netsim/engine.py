@@ -4,6 +4,11 @@ A minimal but complete event loop: callbacks are scheduled at absolute or
 relative simulated times, executed in time order, with ties broken by
 scheduling order (a monotonically increasing sequence number), which makes
 every simulation run exactly reproducible.
+
+The heap holds ``(time, seq, event)`` entries.  Because ``seq`` is unique,
+heap comparisons are settled by the two leading numbers and never reach
+the :class:`Event`, which is only the cancel handle (and is deliberately
+not orderable).
 """
 
 from __future__ import annotations
@@ -16,11 +21,10 @@ from typing import Any, Callable, List, Optional, Tuple
 class Event:
     """A scheduled callback; hold onto it to :meth:`cancel` it later."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None], args: Tuple[Any, ...]):
+    def __init__(self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -28,9 +32,6 @@ class Event:
     def cancel(self) -> None:
         """Prevent the callback from running (safe after it already ran)."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Engine:
@@ -44,7 +45,7 @@ class Engine:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._processed = 0
         self._dispatch_hook: Optional[Callable[[Event, int], None]] = None
 
@@ -77,9 +78,10 @@ class Engine:
         """
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        event = Event(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, callback, args)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -110,8 +112,9 @@ class Engine:
     def _dispatch(self, end_time: float) -> None:
         """Run queued events with ``time <= end_time`` in ``(time, seq)`` order."""
         queue = self._queue
-        while queue and queue[0].time <= end_time:
-            event = heapq.heappop(queue)
+        heappop = heapq.heappop
+        while queue and queue[0][0] <= end_time:
+            event = heappop(queue)[2]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -121,6 +124,9 @@ class Engine:
             event.callback(*event.args)
 
     def pending(self) -> int:
-        """Number of not-yet-run, not-cancelled events (approximate upper
-        bound: cancelled events still in the heap are excluded)."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        """Number of queued events that will still run.
+
+        Cancelled events stay in the heap until their time comes (they are
+        skipped at dispatch); they are not counted here.
+        """
+        return sum(1 for _time, _seq, event in self._queue if not event.cancelled)

@@ -168,11 +168,15 @@ class Link:
         self._receiver = callback
 
     def watch_writable(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired when the queue stops being full.
+        """Register a callback fired when the link becomes writable again.
 
         This is the level-triggered-to-edge-triggered bridge the sender's
-        epoll-like wait loop needs: it only fires on the full -> not-full
-        transition, i.e. exactly when a blocked sender may make progress.
+        epoll-like wait loop needs: it fires on the full -> not-full
+        transition and on :meth:`link_up`, and on nothing else.  Those are
+        the only ways :meth:`writable` turns True (sends only fill the
+        queue, :meth:`link_down` only makes it False), so a stalled sender
+        may skip polling until one of its links fires -- the stall latch of
+        :class:`repro.netsim.readiness.WriteSelector` relies on exactly that.
         """
         self._writable_watchers.append(callback)
 

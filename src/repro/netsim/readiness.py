@@ -18,6 +18,10 @@ non-writable and are therefore excluded from selection; when a link comes
 back up its writable watcher fires and blocked senders resume, which is
 how ReMICSS survives flaps and partitions without any retransmission
 machinery.
+
+Readiness is edge-triggered, as with epoll's ``EPOLLET``: a sender whose
+head symbol stalls stops polling until an edge says the ready set may
+have grown (see :class:`WriteSelector`).
 """
 
 from __future__ import annotations
@@ -29,6 +33,22 @@ from repro.netsim.ports import ChannelPort
 
 class WriteSelector:
     """Selects ready-to-write ports for the dynamic share schedule.
+
+    The selector also carries the sender's *stall latch*, :attr:`blocked`.
+    The sender sets it when its head symbol finds too few ready ports and
+    skips polling while it is set.  Only these edges clear it:
+
+    * a writable notification from one of the selector's links
+      (:meth:`repro.netsim.link.Link.watch_writable`, which fires on
+      full -> not-full and on link up);
+    * :meth:`set_excluded`, which may shrink the quarantine mask;
+    * :meth:`rearm`, called by the sender when it re-samples the head's
+      parameters.
+
+    A stall cannot clear without one of them: nothing else makes a
+    non-writable port writable (other writers only fill queues, a link
+    going down only removes ports), so a skipped poll would have come up
+    short too, and the stall count is the same as if it had run.
 
     Args:
         ports: all channel ports, in channel-index order.
@@ -48,10 +68,19 @@ class WriteSelector:
         #: it went down, or its loss is what got it quarantined), so
         #: readiness alone cannot express the exclusion.
         self.excluded: FrozenSet[int] = frozenset()
+        #: The stall latch (see the class docstring).
+        self.blocked = False
+        for port in self.ports:
+            port.link.watch_writable(self.rearm)
+
+    def rearm(self) -> None:
+        """Clear the stall latch: the ready set may have grown."""
+        self.blocked = False
 
     def set_excluded(self, indices: Iterable[int]) -> None:
-        """Replace the excluded-channel mask."""
+        """Replace the excluded-channel mask (and clear the stall latch)."""
         self.excluded = frozenset(indices)
+        self.blocked = False
 
     def ready(self) -> List[ChannelPort]:
         """All currently writable, non-excluded ports, in the configured order."""

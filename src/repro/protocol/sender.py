@@ -248,6 +248,7 @@ class ShareSender:
         for queued in self._source:
             queued.k = queued.m = None
             queued.subset = None
+        self.selector.rearm()
         self._pump()
 
     # -- the pipeline -------------------------------------------------------------
@@ -256,6 +257,11 @@ class ShareSender:
         """Advance the head symbol if its channels are ready (and CPU free)."""
         if self._cpu_busy:
             return
+        if self.selector.blocked:
+            # No readiness edge since the head stalled (only a stall sets
+            # the latch), so its ports are still short: see WriteSelector.
+            self.stats.readiness_stalls += 1
+            return
         while self._source:
             symbol = self._source[0]
             if symbol.k is None:
@@ -263,7 +269,8 @@ class ShareSender:
             chosen = self._choose_ports(symbol)
             if chosen is None:
                 self.stats.readiness_stalls += 1
-                return  # blocked; a writable notification will re-pump
+                self.selector.blocked = True
+                return  # a readiness edge will re-pump
             if self.cpu is None or self.cpu.capacity is None:
                 self._source.popleft()
                 self._transmit(symbol, chosen)

@@ -170,11 +170,10 @@ def run_trace(
     network.engine.schedule_at(duration, tunnel.flush)
     network.engine.run_until(duration + drain)
 
-    # In-order delivery lets us compare pairwise; drops shift the suffix,
-    # so count prefix-intact matches conservatively.
-    intact = sum(
-        1 for sent, got in zip(sent_payloads, received) if sent == got
-    )
+    # Delivery is in order with drops, so a received datagram is intact if
+    # it matches the next sent one at or after the previous match.
+    unmatched = iter(sent_payloads)
+    intact = sum(1 for got in received if any(got == sent for sent in unmatched))
     total_bytes = sum(len(p) for p in sent_payloads)
     return TraceResult(
         sent=len(sent_payloads),

@@ -9,7 +9,10 @@ nobody validates rots silently, so this suite pins:
 * internal consistency (the recorded speedup is batch/scalar),
 * the headline acceptance bar: the committed Shamir 3-of-5 split speedup
   is at least the 10x the vectorized rewrite promised, and
-* the gate logic itself (regressions detected, self-comparison clean).
+* the gate logic itself (regressions detected, self-comparison clean),
+* the ``engine`` block: its exact work counts are those a live run of the
+  fixed Figure 3 point produces, and any drift fails the gate while the
+  events/s trend does not.
 """
 
 import importlib.util
@@ -25,6 +28,7 @@ BENCH_JSON = ROOT / "BENCH_micro.json"
 EXPECTED_SCHEMES = {"shamir_3of5", "ramp_L2_3of5", "xor_5of5"}
 EXPECTED_OPS = {"split", "reconstruct"}
 EXPECTED_FIELDS = {"scalar_mbps", "batch_mbps", "speedup"}
+EXPECTED_ENGINE_COUNTS = {"events", "schedules", "selects", "writable_polls"}
 
 
 def _load_bench_module():
@@ -102,3 +106,35 @@ class TestRegressionGate:
             for row in ops.values():
                 row["speedup"] = row["speedup"] * 0.9  # inside the 20% band
         assert bench.check_against_baseline(wobbled, trend) == []
+
+
+class TestEngineBlock:
+    def test_shape(self, trend):
+        engine = trend["engine"]
+        assert set(engine) == EXPECTED_ENGINE_COUNTS | {"point", "seed", "events_per_s"}
+        for key in EXPECTED_ENGINE_COUNTS:
+            assert isinstance(engine[key], int) and engine[key] > 0, key
+        assert engine["events_per_s"] > 0
+        # Every dispatched event was scheduled; some were cancelled first.
+        assert engine["schedules"] >= engine["events"]
+
+    def test_committed_counts_match_a_live_run(self, trend):
+        bench = _load_bench_module()
+        engine = trend["engine"]
+        assert engine["point"] == bench.ENGINE_POINT
+        assert engine["seed"] == bench.ENGINE_SEED
+        assert bench.count_engine_work() == {key: engine[key] for key in EXPECTED_ENGINE_COUNTS}
+
+    def test_count_drift_detected(self, trend):
+        bench = _load_bench_module()
+        for key in EXPECTED_ENGINE_COUNTS:
+            drifted = json.loads(json.dumps(trend))
+            drifted["engine"][key] -= 1
+            failures = bench.check_against_baseline(drifted, trend)
+            assert any(f"engine.{key}" in f for f in failures), key
+
+    def test_events_per_s_is_a_trend_not_a_gate(self, trend):
+        bench = _load_bench_module()
+        slowed = json.loads(json.dumps(trend))
+        slowed["engine"]["events_per_s"] = trend["engine"]["events_per_s"] / 100
+        assert bench.check_against_baseline(slowed, trend) == []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.engine import Engine
 
@@ -112,11 +114,18 @@ class TestCancellation:
 
     def test_pending_excludes_cancelled(self):
         engine = Engine()
-        keep = engine.schedule(1.0, lambda: None)
-        drop = engine.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert engine.pending() == 1
-        del keep
+        ran = engine.schedule(0.5, lambda: None)
+        engine.schedule(1.0, lambda: None)
+        tied = engine.schedule(1.0, lambda: None)
+        engine.schedule(2.0, lambda: None)
+        assert engine.pending() == 4
+        tied.cancel()
+        assert engine.pending() == 3
+        engine.run_until(0.75)
+        ran.cancel()  # already ran: the count does not move
+        assert engine.pending() == 2
+        engine.run()
+        assert engine.pending() == 0
 
     def test_events_processed_counter(self):
         engine = Engine()
@@ -124,6 +133,63 @@ class TestCancellation:
             engine.schedule(1.0, lambda: None)
         engine.run()
         assert engine.events_processed == 5
+
+
+#: Delays drawn from a handful of values, so same-time ties are common.
+DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+class TestOrdering:
+    def test_events_are_not_orderable(self):
+        # The heap orders (time, seq, event) entries by the unique seq
+        # before it could reach the event; events themselves never compare.
+        engine = Engine()
+        first = engine.schedule(1.0, lambda: None)
+        second = engine.schedule(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            min(first, second)
+        with pytest.raises(TypeError):
+            sorted([second, first])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_dispatch_order_matches_a_time_seq_oracle(self, data):
+        """Schedules, cancels and same-time re-entrant schedules, drawn at
+        random, dispatch in sorted((time, seq)) order with cancelled events
+        left out."""
+        engine = Engine()
+        keys = []  # tag -> (time, seq); tags count schedule calls, like seq
+        handles = {}  # tag -> Event, while it has neither run nor been cancelled
+        cancelled = set()
+        dispatched = []
+
+        def schedule(delay):
+            tag = len(keys)
+            keys.append((engine.now + delay, tag))
+            handles[tag] = engine.schedule(delay, fire, tag)
+
+        def fire(tag):
+            del handles[tag]
+            dispatched.append(tag)
+            if len(keys) < 80:
+                for delay in data.draw(st.lists(DELAYS, max_size=3)):
+                    schedule(delay)
+            if handles and data.draw(st.booleans()):
+                victim = data.draw(st.sampled_from(sorted(handles)))
+                handles.pop(victim).cancel()
+                cancelled.add(victim)
+
+        for delay in data.draw(st.lists(DELAYS, min_size=1, max_size=12)):
+            schedule(delay)
+        engine.run_until(data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+        engine.run()
+
+        expected = sorted(
+            (key, tag) for tag, key in enumerate(keys) if tag not in cancelled
+        )
+        assert dispatched == [tag for _key, tag in expected]
+        assert engine.events_processed == len(dispatched)
+        assert engine.pending() == 0
 
 
 def _random_workload_trace(seed, end_time=50.0, chunks=1):

@@ -1,7 +1,9 @@
 """The MICSS baseline and the DIBS interception shim."""
 
+import pytest
 
 from repro.core.channel import ChannelSet
+from repro.netsim.engine import Engine
 from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.dibs import DibsInterceptor
@@ -133,3 +135,87 @@ class TestDibs:
         tx.flush()
         network.engine.run_until(20.0)
         assert rx_shim.datagrams_delivered == 1
+
+
+class _Loopback:
+    """A node stand-in for the shim: it records sent symbols, and a test
+    hands symbols to the registered delivery callback itself."""
+
+    def __init__(self, symbol_size=32, reassembly_timeout=1.0):
+        self.engine = Engine()
+        self.config = ProtocolConfig(
+            kappa=1.0, mu=1.0, symbol_size=symbol_size,
+            reassembly_timeout=reassembly_timeout,
+        )
+        self.sent = []
+        self.deliver = None
+
+    def send(self, payload):
+        self.sent.append(payload)
+
+    def on_deliver(self, callback):
+        self.deliver = callback
+
+
+class TestDibsLoss:
+    # Payloads that read as frame headers (length 1 at any 4-byte
+    # alignment), so a reader that resumed mid-frame would emit bogus
+    # datagrams instead of waiting for the next frame start.
+    MESSAGES = [(b"\0\0\0\x01" * 18)[:size] for size in (5, 40, 3, 70, 12, 9, 50, 1, 30)]
+
+    def tunnel(self):
+        tx_node, rx_node = _Loopback(), _Loopback()
+        tx = DibsInterceptor(tx_node)
+        received = []
+        rx = DibsInterceptor(rx_node, on_datagram=received.append)
+        for message in self.MESSAGES:
+            tx.intercept(message)
+        tx.flush()
+        return tx, tx_node.sent, rx, rx_node, received
+
+    def untouched_by(self, lost, chunk):
+        """The messages whose frames lie wholly outside symbol ``lost``."""
+        kept, start = [], 0
+        for message in self.MESSAGES:
+            end = start + 4 + len(message)
+            if end <= lost * chunk or start >= (lost + 1) * chunk:
+                kept.append(message)
+            start = end
+        return kept
+
+    @pytest.mark.parametrize("lost", [0, 2, 3, 5])
+    def test_stale_gap_is_given_up_and_the_next_frame_found(self, lost):
+        tx, symbols, rx, rx_node, received = self.tunnel()
+        for seq, symbol in enumerate(symbols):
+            if seq != lost:
+                rx_node.deliver(seq, symbol, 0.0)
+        # Nothing arrives after the last symbol; only the gap timer can
+        # release what waits behind the lost one.
+        rx_node.engine.run_until(0.99)
+        assert received == self.untouched_by(lost, tx.chunk_size)[: len(received)]
+        rx_node.engine.run_until(1.0)
+        assert received == self.untouched_by(lost, tx.chunk_size)
+        assert rx.datagrams_corrupted == 1
+
+    def test_late_symbol_of_an_abandoned_gap_is_ignored(self):
+        tx, symbols, rx, rx_node, received = self.tunnel()
+        for seq, symbol in enumerate(symbols):
+            if seq != 2:
+                rx_node.deliver(seq, symbol, 0.0)
+        rx_node.engine.run_until(2.0)
+        before = list(received)
+        rx_node.deliver(2, symbols[2], 0.0)
+        rx_node.engine.run_until(4.0)
+        assert received == before
+
+    def test_lossless_stream_needs_no_timer(self):
+        _tx, symbols, rx, rx_node, received = self.tunnel()
+        for seq in [1, 0] + list(range(2, len(symbols))):  # one reordering
+            rx_node.deliver(seq, symbols[seq], 0.0)
+        rx_node.engine.run()
+        assert received == self.MESSAGES
+        assert rx.datagrams_corrupted == 0
+
+    def test_symbol_too_small_for_the_pointer(self):
+        with pytest.raises(ValueError, match="symbol_size"):
+            DibsInterceptor(_Loopback(symbol_size=2))

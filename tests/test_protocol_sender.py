@@ -131,6 +131,79 @@ class TestBackpressure:
         assert len(delivered) == 20
 
 
+def fill(port):
+    """Leave ``port`` non-writable: one packet serialising, its queue full."""
+    from repro.netsim.packet import Datagram
+
+    while port.writable():
+        port.send(Datagram(size=1000))
+
+
+def count_polls(ports):
+    """Count ``Link.writable`` polls across ``ports``."""
+    polls = [0]
+    for port in ports:
+        def writable(original=port.link.writable):
+            polls[0] += 1
+            return original()
+
+        port.link.writable = writable
+    return polls
+
+
+def explicit_sampler(subset):
+    from repro.core.channel import ChannelSet
+
+    channels = ChannelSet.from_vectors(
+        risks=[0.0] * 3, losses=[0.0] * 3, delays=[0.0] * 3, rates=[1.0] * 3
+    )
+    schedule = ShareSchedule.singleton(channels, 2, subset)
+    return ExplicitScheduler(schedule, np.random.default_rng(0))
+
+
+class TestReadinessLatch:
+    """A stalled head is not re-polled until an edge can grow the ready set."""
+
+    def test_stalled_head_is_not_repolled_without_an_edge(self):
+        engine = Engine()
+        ports = make_ports(engine, n=3, byte_rate=100.0, queue_limit=1)
+        fill(ports[2])
+        sender = make_sender(engine, ports, kappa=3.0, mu=3.0)
+        polls = count_polls(ports)
+        sender.offer(bytes(100))
+        first = polls[0]
+        assert first > 0 and sender.selector.blocked
+        for _ in range(5):
+            sender.offer(bytes(100))
+        assert polls[0] == first  # stalls counted, nothing polled
+        assert sender.stats.readiness_stalls == 6
+        engine.run()  # port 2 drains: its writable edge re-arms the selector
+        assert sender.stats.symbols_sent == 6
+
+    def test_set_excluded_clears_the_latch(self):
+        engine = Engine()
+        sender = make_sender(engine, make_ports(engine), kappa=1.0, mu=3.0)
+        sender.selector.set_excluded({2})
+        sender.offer(bytes(100))
+        assert sender.stats.symbols_sent == 0 and sender.selector.blocked
+        sender.selector.set_excluded(())
+        sender.offer(bytes(100))  # no link edge: the mask change alone re-arms
+        assert sender.stats.symbols_sent == 2
+
+    def test_resample_head_clears_the_latch(self):
+        engine = Engine()
+        ports = make_ports(engine, n=3, byte_rate=100.0, queue_limit=1)
+        fill(ports[2])
+        config = ProtocolConfig(kappa=2.0, mu=2.0, symbol_size=100)
+        sender = make_sender(engine, ports, config=config, sampler=explicit_sampler([0, 2]))
+        sender.offer(bytes(100))
+        assert sender.stats.symbols_sent == 0 and sender.selector.blocked
+        sender.sampler = explicit_sampler([0, 1])
+        sender.resample_head()
+        assert sender.stats.symbols_sent == 1
+        assert sender.shares_per_channel == [1, 1, 0]
+
+
 class TestExplicitSchedule:
     def test_uses_exact_subset(self, rng):
         engine = Engine()

@@ -7,7 +7,15 @@ Two groups of tests:
   and observability; ``run_echo``; ``run_trace``; one authenticated fleet
   cell).  They were recorded before the harnesses shared an assembly and
   must never change: a different digest means a harness now builds, arms
-  or drives its stack differently.
+  or drives its stack differently.  ``TRACE`` was re-recorded once, when
+  the DIBS reader learned to give up on stale gaps (its streaming run
+  went from 0 to 92 of 96 datagrams; web and messaging are unchanged).
+* **stall-path pins** -- the sender's counters, per-channel share counts
+  and (k, m) picks for runs whose head symbol stalls on readiness: a
+  Figure 3 point (headroom ordering), a Figure 5 point (fixed ordering)
+  and a detector-only resilience run whose quarantine re-masks the
+  selector and re-samples the head.  They pin when a stalled sender
+  re-evaluates, which is what edge-triggered readiness must preserve.
 * **the assembly itself** -- every part composed at once, the wiring of
   the observability series, and argument checks.
 """
@@ -22,6 +30,8 @@ from repro.adversary.active.harness import default_channels, run_under_attack
 from repro.adversary.active.plan import AttackPlan
 from repro.adversary.active.scenarios import canonical_attack
 from repro.core.planner import Requirements
+from repro.experiments.fig3 import fig3_point
+from repro.experiments.fig5 import fig5_point
 from repro.fleet.cell import run_cell
 from repro.fleet.spec import synthesize_fleet
 from repro.netsim.engine import Engine
@@ -32,6 +42,7 @@ from repro.protocol.auth import derive_root_key
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.resilience import ResilienceConfig
+from repro.protocol.sender import ShareSender
 from repro.protocol.testbed import offer_at_rate, update_digest
 # Imported by module: a bare ``Testbed`` name would be collected as a test class.
 import repro.protocol.testbed as assembly
@@ -47,8 +58,11 @@ IPERF_OUTPUTS = "31204d943392d850ce2c7c9fb9ada969f7952221defa9259a91584cf0ce5d67
 IPERF_METRICS = "e1a3cd954afbcc71d9a69080a466b77ee9906707dd158ce15e0e92fc871e3b96"
 IPERF_TRACE = "83a44d2776341cb77204df8b6d677786131cf0b0e87d7654c1ab64df4657eee4"
 ECHO = "e376fadedeb6b934b1e25f5d32a14bf2d81ce868a0e7aa2996b9fe0ecc79092c"
-TRACE = "f2c14b37a9af8efd1cd65e9f2cffdf9dadcf3f5d548efb061990517491b72d19"
+TRACE = "533f353f25b672775c0c12b7049761bad8338da1f9ee44e17605d37b3b65e524"
 FLEET_CELL = "50c606c12ba55408723c4659a78ec5a8cb395614449e9e592cc7bee8feda9c53"
+STALL_FIG3 = "b27fc73ada54c81360bcd31c0c3ff86d2a390a8070e247514bc2f3481f500839"
+STALL_FIG5_FIXED = "1b9b72bd90dc17e25af9c45c6b07db52968eb98d01790016a558dcd8a2223d4c"
+STALL_QUARANTINE = "ac4349c6850efb641f6ccbf47331077812628c5faf5cf22cf7128c648c44d672"
 
 
 def fingerprint(value) -> str:
@@ -137,6 +151,63 @@ class TestGoldenPins:
             "auth": True,
         }
         assert fingerprint(run_cell(params, 12345)) == FLEET_CELL
+
+
+@pytest.fixture
+def senders(monkeypatch):
+    """Every :class:`ShareSender` built while the test runs, in order."""
+    built = []
+    original = ShareSender.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ShareSender, "__init__", init)
+    return built
+
+
+def sender_fingerprint(sender) -> str:
+    return fingerprint({
+        "stats": sender.stats.as_dict(),
+        "shares_per_channel": sender.shares_per_channel,
+        "schedule_picks": sorted([k, m, n] for (k, m), n in sender.schedule_picks.items()),
+    })
+
+
+class TestStallPathPins:
+    def test_fig3_point_headroom(self, senders):
+        fig3_point(
+            {"setup": "diverse", "kappa": 2.0, "mu": 2.5, "duration": 3.0, "warmup": 1.0}, 7
+        )
+        assert senders[0].stats.readiness_stalls > 0
+        assert sender_fingerprint(senders[0]) == STALL_FIG3
+
+    def test_fig5_point_fixed_ordering(self, senders):
+        fig5_point(
+            {
+                "kappa": 3.0, "mu": 3.8, "duration": 3.0, "warmup": 1.0,
+                "selector_ordering": "fixed",
+            },
+            2,
+        )
+        assert senders[0].stats.readiness_stalls > 0
+        assert sender_fingerprint(senders[0]) == STALL_FIG5_FIXED
+
+    def test_detector_only_quarantine(self, senders):
+        result = run_iperf(
+            diverse_setup(),
+            ProtocolConfig(kappa=2.0, mu=2.0, share_synthetic=True),
+            offered_rate=100.0,
+            duration=8.0,
+            warmup=2.0,
+            seed=5,
+            fault_plan=fault_plan_for("partition_heal", 40.0, 80.0, channel=4),
+            resilience=ResilienceConfig(failover=False),
+        )
+        assert result.resilience_summary["quarantines"] == 1
+        assert result.resilience_summary["failovers"] == 0
+        assert sender_fingerprint(senders[0]) == STALL_QUARANTINE
 
 
 # -- the assembly itself ------------------------------------------------------

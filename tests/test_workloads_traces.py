@@ -67,6 +67,20 @@ class TestRunTrace:
         assert result.delivered == result.sent
         assert result.intact == result.sent
 
+    @pytest.mark.parametrize("mu, at_least", [(2.0, 80), (3.0, 96)])
+    def test_lost_symbols_stall_only_their_own_datagrams(self, mu, at_least):
+        # With mu = kappa every lost share loses its symbol; the tunnel
+        # gives up on each gap after the reassembly timeout and carries on.
+        from repro.workloads.setups import lossy_setup
+
+        result = run_trace(
+            lossy_setup(), ProtocolConfig(kappa=2.0, mu=mu),
+            kind="streaming", duration=6.0, seed=4, drain=5.0,
+        )
+        assert result.sent == 96
+        assert result.delivered >= at_least
+        assert result.intact == result.delivered
+
     def test_web_trace_survives_light_loss(self):
         channels = ChannelSet.from_vectors(
             risks=[0.0] * 3,
