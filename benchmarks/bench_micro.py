@@ -13,6 +13,10 @@ committed throughput trend (see ``BENCH_micro.json`` at the repo root and
     PYTHONPATH=src python benchmarks/bench_micro.py --json BENCH_micro.json
     PYTHONPATH=src python benchmarks/bench_micro.py --quick --check BENCH_micro.json
 
+The ``batch`` column times each scheme's own ``split``/``reconstruct``:
+for ``shamir_3of5`` that is the per-symbol byte-table path
+(:mod:`repro.gf.bytetab`), for the ramp scheme the numpy grid kernels.
+
 ``--check`` re-times the quick configuration and fails (exit 1) if the
 batch-over-scalar split speedup has regressed more than 20% relative to
 the committed baseline.  The gate compares *speedups*, not absolute MB/s,

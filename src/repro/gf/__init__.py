@@ -15,11 +15,17 @@ Polynomial utilities (Horner evaluation, Lagrange interpolation) live in
 :mod:`repro.gf.poly` and are generic over any field implementing the
 :class:`~repro.gf.field.Field` interface.
 
-The scalar GF(2^8) + polynomial path is the *reference oracle*; the hot
-path used by the sharing schemes is :mod:`repro.gf.batch`, whose numpy
-kernels evaluate and interpolate whole datagram batches at once and are
-bit-identical to the scalar oracle by construction (and by test:
-``tests/test_sharing_batch_equiv.py``).
+The scalar GF(2^8) + polynomial path is the *reference oracle*.  The
+sharing schemes run on two faster paths, both bit-identical to it by
+construction and by test:
+
+* :mod:`repro.gf.bytetab` -- stdlib ``bytes.translate`` multiply tables
+  for one symbol at a time, behind ``ShamirScheme.split``/``reconstruct``
+  (``tests/test_gf_bytetab.py``);
+* :mod:`repro.gf.batch` -- numpy grid kernels that evaluate and
+  interpolate whole datagram batches at once, behind ``split_many``/
+  ``reconstruct_many``, the ramp scheme and the robust decoder
+  (``tests/test_sharing_batch_equiv.py``).
 """
 
 from repro.gf.batch import (

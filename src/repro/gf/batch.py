@@ -1,4 +1,4 @@
-"""Vectorized GF(2^8) kernels for whole-batch secret sharing.
+"""Vectorized GF(2^8) grid kernels for batched secret sharing.
 
 The scalar field in :mod:`repro.gf.gf256` and the generic polynomial code in
 :mod:`repro.gf.poly` are the *reference oracle*: correct, simple, and slow.
@@ -6,7 +6,12 @@ This module re-expresses the two sharing primitives -- polynomial evaluation
 and Lagrange interpolation -- as numpy table translations over ``uint8``
 arrays so a whole datagram batch (every byte position x every share point)
 moves through the field in a handful of vectorized passes, mirroring the
-``BatchReconstruction`` idiom of batched-MPC systems.
+``BatchReconstruction`` idiom of batched-MPC systems.  They serve
+``ShamirScheme.split_many``/``reconstruct_many``, the ramp scheme and the
+robust decoder.  One symbol at a time -- ``ShamirScheme.split`` and
+``reconstruct`` -- runs on the byte-substitution kernels of
+:mod:`repro.gf.bytetab` instead, where numpy's fixed per-call cost would
+outweigh the arithmetic.
 
 Everything here is *exact* field arithmetic over the same AES-polynomial
 log/antilog tables the scalar path builds, so batch results are bit-identical

@@ -12,10 +12,12 @@ polynomial ``x^8 + x^4 + x^3 + x + 1`` (0x11b); any irreducible polynomial
 would do, but using a well-known one simplifies cross-checking test vectors.
 
 This scalar implementation doubles as the *reference oracle* for the
-vectorized kernels in :mod:`repro.gf.batch`: the batch path must be
-bit-identical to it (``tests/test_sharing_batch_equiv.py``), and the
-bit-by-bit :func:`_carryless_mul` below is the independent oracle the
-golden-vector suite (``tests/test_gf_vectors.py``) checks both against.
+per-symbol kernels in :mod:`repro.gf.bytetab` and the vectorized kernels in
+:mod:`repro.gf.batch`: both must be bit-identical to it
+(``tests/test_gf_bytetab.py``, ``tests/test_sharing_batch_equiv.py``), and
+the bit-by-bit :func:`_carryless_mul` below is the independent oracle the
+byte tables and the golden-vector suite (``tests/test_gf_vectors.py``) are
+checked against.
 """
 
 from __future__ import annotations

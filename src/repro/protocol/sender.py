@@ -209,7 +209,10 @@ class ShareSender:
         Returns:
             False if the source queue was full and the symbol was dropped.
         """
-        self.stats.count(flow, "symbols_offered")
+        stats = self.stats
+        stats.symbols_offered += 1
+        if flow != 0:
+            stats.flow_block(flow)["symbols_offered"] += 1
         if payload is not None and len(payload) != self.config.symbol_size:
             raise ValueError(
                 f"payload must be {self.config.symbol_size} bytes, got {len(payload)}"
@@ -217,10 +220,12 @@ class ShareSender:
         if payload is None and not self.config.share_synthetic:
             raise ValueError("payload required unless share_synthetic is enabled")
         if self.admission_paused:
-            self.stats.admission_paused_drops += 1
+            stats.admission_paused_drops += 1
             return False
         if len(self._source) >= self.config.source_queue_limit:
-            self.stats.count(flow, "source_drops")
+            stats.source_drops += 1
+            if flow != 0:
+                stats.flow_block(flow)["source_drops"] += 1
             return False
         symbol = _PendingSymbol(self._take_seq(flow), payload, self.engine.now, flow)
         self._source.append(symbol)
@@ -327,6 +332,8 @@ class ShareSender:
             shares: List[Optional[Share]] = [None] * symbol.m
         else:
             shares = self.config.scheme.split(symbol.payload, symbol.k, symbol.m, self.rng)
+        stats = self.stats
+        sent = 0
         for position, port in enumerate(chosen):
             index = position + 1
             meta = {
@@ -344,17 +351,22 @@ class ShareSender:
                         flow, symbol.seq, shares[position],
                         SCHEME_IDS[self.config.scheme.name],
                     )
-                    self.stats.auth_tagged_shares += 1
+                    stats.auth_tagged_shares += 1
                 packet = encode_share(
                     symbol.seq, shares[position], self.config.scheme.name,
                     flow=flow, tag=tag,
                 )
                 datagram = Datagram(size=len(packet), payload=packet, meta=meta)
             if port.send(datagram):
-                self.stats.count(flow, "shares_sent")
+                sent += 1
                 self.shares_per_channel[port.index] += 1
             else:  # pragma: no cover - ports were checked writable
-                self.stats.share_send_failures += 1
-        self.stats.count(flow, "symbols_sent")
+                stats.share_send_failures += 1
+        stats.shares_sent += sent
+        stats.symbols_sent += 1
+        if flow != 0:
+            block = stats.flow_block(flow)
+            block["shares_sent"] += sent
+            block["symbols_sent"] += 1
         if self.on_transmit is not None:
             self.on_transmit(flow, symbol.seq, symbol.k, symbol.m, symbol.offered_at, shares)

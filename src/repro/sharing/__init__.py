@@ -18,10 +18,12 @@ All schemes implement :class:`~repro.sharing.base.SecretSharingScheme` and
 operate on ``bytes`` secrets, producing :class:`~repro.sharing.base.Share`
 objects tagged with their index and the (k, m) parameters used.
 
-The GF(2^8) schemes run on the vectorized kernels in
-:mod:`repro.gf.batch` (whole-batch polynomial evaluation and Lagrange
-interpolation); :mod:`repro.sharing.reference` keeps the byte-at-a-time
-scalar oracle they are tested bit-identical against.
+Shamir's per-symbol ``split``/``reconstruct`` run on the byte-substitution
+kernels in :mod:`repro.gf.bytetab`; batches, the ramp scheme and the robust
+decoder run on the vectorized kernels in :mod:`repro.gf.batch` (whole-batch
+polynomial evaluation and Lagrange interpolation);
+:mod:`repro.sharing.reference` keeps the byte-at-a-time scalar oracle both
+are tested bit-identical against.
 """
 
 from repro.sharing.base import (

@@ -1,4 +1,4 @@
-"""Shamir's threshold scheme over GF(2^8), batched over whole datagrams.
+"""Shamir's threshold scheme over GF(2^8), one symbol or a whole batch.
 
 Each byte of the secret is an independent GF(2^8) secret: byte ``b`` of
 share ``i`` is ``f_b(i)`` where ``f_b`` is a random degree-(k-1) polynomial
@@ -6,15 +6,21 @@ with constant term ``secret[b]``.  Every share therefore has exactly the
 length of the secret, which is the optimal ``H(Y) = H(X)`` case the paper's
 rate model assumes (Sec. III-C).
 
-``split`` evaluates *all m share points for all payload bytes* in one
-vectorized Horner pass over a ``(k, n)`` coefficient matrix, and
-``reconstruct`` interpolates the whole byte batch with one batched Lagrange
-evaluation -- both through :mod:`repro.gf.batch`.  Coefficient sampling is
-amortized into a single ``rng.integers`` draw.  The scalar path through
-:mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`) is the
-reference oracle: the batch kernels are bit-identical to it byte for byte,
-which ``tests/test_sharing_batch_equiv.py`` and the golden vectors in
-``tests/test_gf_vectors.py`` pin down.
+``split`` and ``reconstruct`` handle one symbol -- the protocol's per-datagram
+path -- through the byte-substitution kernels of :mod:`repro.gf.bytetab`:
+``split`` scales each coefficient row for all m share points with
+``bytes.translate`` and folds the rows together by XOR, and ``reconstruct``
+XORs the shares scaled by Lagrange coefficients cached per share-index
+tuple.  ``split_many`` and ``reconstruct_many`` run whole batches through
+the numpy grid kernels of :mod:`repro.gf.batch` (one Horner pass over every
+share point and byte, one batched Lagrange pass per share geometry).  All
+paths draw the random coefficients with the same single ``rng.integers``
+call per secret, so same-seed shares are byte-identical whichever path made
+them.  The scalar path through :mod:`repro.gf` (exposed as
+:mod:`repro.sharing.reference`) is the reference oracle both kernels are
+checked against (``tests/test_gf_bytetab.py``,
+``tests/test_sharing_batch_equiv.py`` and the golden vectors in
+``tests/test_gf_vectors.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.gf.batch import eval_poly_at_points, lagrange_interpolate
-from repro.gf.gf256 import _EXP, _LOG
+from repro.gf.bytetab import bytes_eval_at_points, bytes_interpolate
 from repro.sharing.base import (
     ReconstructionError,
     SecretSharingScheme,
@@ -34,29 +40,21 @@ from repro.sharing.base import (
 )
 
 
-def _gf_inv(a: int) -> int:
-    """Scalar GF(2^8) inverse (used by the ramp scheme's linear algebra)."""
-    if a == 0:
-        raise ZeroDivisionError("inverse of zero in GF(256)")
-    return _EXP[(255 - _LOG[a]) % 255]
-
-
-def _gf_mul(a: int, b: int) -> int:
-    """Scalar GF(2^8) product (used by the ramp scheme's linear algebra)."""
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[(_LOG[a] + _LOG[b]) % 255]
+def _share_rows(group: Sequence[Share]) -> List[bytes]:
+    """Share payloads as ``bytes``, validating that their lengths agree."""
+    rows = [memoryview(s.data).tobytes() for s in group]
+    lengths = {len(row) for row in rows}
+    if len(lengths) != 1:
+        raise ReconstructionError(f"shares have inconsistent lengths: {sorted(lengths)}")
+    return rows
 
 
 def _share_matrix(group: Sequence[Share]) -> np.ndarray:
     """Stack share payloads into a uint8 ``(t, n)`` matrix, validating lengths."""
-    lengths = {len(s.data) for s in group}
-    if len(lengths) != 1:
-        raise ReconstructionError(f"shares have inconsistent lengths: {sorted(lengths)}")
-    size = lengths.pop()
-    matrix = np.empty((len(group), size), dtype=np.uint8)
-    for i, share in enumerate(group):
-        matrix[i] = np.frombuffer(share.data, dtype=np.uint8)
+    rows = _share_rows(group)
+    matrix = np.empty((len(rows), len(rows[0])), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        matrix[i] = np.frombuffer(row, dtype=np.uint8)
     return matrix
 
 
@@ -86,28 +84,23 @@ class ShamirScheme(SecretSharingScheme):
         validate_parameters(k, m)
         if m > self.MAX_SHARES:
             raise ValueError(f"GF(256) Shamir supports at most {self.MAX_SHARES} shares")
-        secret_vec = np.frombuffer(secret, dtype=np.uint8)
-        n = len(secret_vec)
-        # coeffs[0] is the secret; coeffs[1..k-1] are uniform random bytes,
-        # drawn once for the whole batch.
-        coeffs = np.empty((k, n), dtype=np.uint8)
-        coeffs[0] = secret_vec
+        secret = memoryview(secret).tobytes()
+        n = len(secret)
+        # rows[0] is the secret; rows[1..k-1] are uniform random bytes from
+        # one draw, the same draw split_many makes for this secret.
+        rows = [secret]
         if k > 1:
-            coeffs[1:] = rng.integers(0, 256, size=(k - 1, n), dtype=np.uint8)
-        # One vectorized Horner pass: row x-1 is share x of every byte.
-        evaluations = eval_poly_at_points(coeffs, np.arange(1, m + 1, dtype=np.uint8))
+            noise = rng.integers(0, 256, size=(k - 1, n), dtype=np.uint8).tobytes()
+            rows.extend(noise[j * n : (j + 1) * n] for j in range(k - 1))
+        evaluations = bytes_eval_at_points(rows, m)
         return [
-            Share(index=x, data=evaluations[x - 1].tobytes(), k=k, m=m)
-            for x in range(1, m + 1)
+            Share(index=x, data=evaluations[x - 1], k=k, m=m) for x in range(1, m + 1)
         ]
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
         k = check_share_group(shares)
         group = list(shares)[:k]
-        matrix = _share_matrix(group)
-        xs = np.array([s.index for s in group], dtype=np.uint8)
-        # Batched Lagrange interpolation at x = 0 across every byte position.
-        return lagrange_interpolate(xs, matrix, 0).tobytes()
+        return bytes_interpolate(tuple(s.index for s in group), _share_rows(group))
 
     def split_many(
         self,
